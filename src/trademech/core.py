@@ -6,10 +6,17 @@ A price accepts a seller atom iff (value, tie) <= (level, tie) in
 lexicographic order, and a buyer atom iff >=. Continuous price rules are
 piecewise-polynomial densities; welfare against them integrates in closed
 form.
+
+All welfare here comes from one prefix-sum sweep over the sorted atoms,
+`_gain_sweep`, which the grid programs share: a price accepts a prefix of
+the sellers and a suffix of the buyers, found by binary search. Density
+prices reduce to the price CDF at each atom value and four prefix sums
+over the sellers below each buyer.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +25,9 @@ from .numkernel import Polynomial, poly_min_on_interval
 
 _MASS_TOL = 1e-12
 _PD_MASS_TOL = 1e-10
+# Prices whose welfare is equal in exact arithmetic can come out of the
+# prefix sums a few ulps apart; best_fixed_price treats them as tied.
+_TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -32,12 +42,13 @@ class DiscreteDistribution:
         total = 0.0
         prev = None
         for v, t, m in self.atoms:
-            if v < 0:
-                raise ValueError(f"negative value {v}")
+            # chained comparisons fail on NaN, so these also reject it
+            if not 0.0 <= v < math.inf:
+                raise ValueError(f"value {v} must be finite and nonnegative")
             if not 0.0 <= t <= 1.0:
                 raise ValueError(f"tie rank {t} outside [0,1]")
-            if m <= 0:
-                raise ValueError(f"atom mass {m} must be positive")
+            if not 0.0 < m < math.inf:
+                raise ValueError(f"atom mass {m} must be finite and positive")
             if prev is not None and (v, t) <= prev:
                 raise ValueError("atoms must be strictly sorted by (value, tie)")
             prev = (v, t)
@@ -84,8 +95,8 @@ class Price:
     tie: float = 0.5
 
     def __post_init__(self):
-        if self.level < 0:
-            raise ValueError("price level must be nonnegative")
+        if not 0.0 <= self.level < math.inf:
+            raise ValueError("price level must be finite and nonnegative")
         if not 0.0 <= self.tie <= 1.0:
             raise ValueError("price tie rank must lie in [0,1]")
 
@@ -125,20 +136,45 @@ def opt_welfare(inst: Instance) -> float:
     return float((w * np.maximum(sv, bv)).sum())
 
 
-def _gains(inst: Instance, p: Price) -> float:
-    acc_s = np.array([p.seller_accepts(v, t) for v, t, _ in inst.seller.atoms])
-    acc_b = np.array([p.buyer_accepts(v, t) for v, t, _ in inst.buyer.atoms])
-    if not acc_s.any() or not acc_b.any():
-        return 0.0
-    sv, sm = inst.seller.values[acc_s], inst.seller.masses[acc_s]
-    bv, bm = inst.buyer.values[acc_b], inst.buyer.masses[acc_b]
-    # acceptance of both sides forces B >= S, so every term is a true gain
-    return float((sm[:, None] * bm[None, :] * (bv[None, :] - sv[:, None])).sum())
+def _gain_sweep(sv, sm, bv, bm, k, j):
+    """Gains of the trades between the first k[i] seller atoms and the
+    buyer atoms from index j[i] on, one per i.
+
+    sv, sm (bv, bm) are the seller (buyer) values and masses in sweep
+    order. The gains are S0[k] B1[j] - S1[k] B0[j], with S0, S1 the seller
+    prefix sums of mass and mass x value and B0, B1 the buyer suffix sums.
+    Every such pair has buyer value >= seller value, so each term is a
+    true gain.
+    """
+    s0 = np.concatenate([[0.0], np.cumsum(sm)])
+    s1 = np.concatenate([[0.0], np.cumsum(sm * sv)])
+    b0 = np.append(np.cumsum(bm[::-1])[::-1], 0.0)
+    b1 = np.append(np.cumsum((bm * bv)[::-1])[::-1], 0.0)
+    return s0[k] * b1[j] - s1[k] * b0[j]
+
+
+def _keys(values, ties):
+    """(value, tie) records, which numpy orders lexicographically."""
+    keys = np.empty(len(values), dtype=[("v", float), ("t", float)])
+    keys["v"], keys["t"] = values, ties
+    return keys
+
+
+def _cleared(inst: Instance, prices) -> np.ndarray:
+    """Gains each price in `prices` (records from _keys) clears.
+
+    A price accepts the seller atoms at or below it, a prefix of length k,
+    and the buyer atoms at or above it, a suffix from index j.
+    """
+    s, b = inst.seller, inst.buyer
+    k = np.searchsorted(_keys(s.values, s.ties), prices, side="right")
+    j = np.searchsorted(_keys(b.values, b.ties), prices, side="left")
+    return _gain_sweep(s.values, s.masses, b.values, b.masses, k, j)
 
 
 def fixed_price_welfare(inst: Instance, p: Price) -> float:
     """E[S] plus the expected gains from trades the price clears."""
-    return inst.seller.mean() + _gains(inst, p)
+    return inst.seller.mean() + float(_cleared(inst, _keys([p.level], [p.tie]))[0])
 
 
 def best_fixed_price(inst: Instance):
@@ -146,17 +182,14 @@ def best_fixed_price(inst: Instance):
 
     Restricting to that candidate set loses nothing: as the price moves
     between consecutive atom coordinates the accepted sets are constant.
-    Ties break toward the smallest (level, tie).
+    Ties, up to rounding, break toward the smallest (level, tie).
     """
-    cand = sorted({(v, t) for v, t, _ in inst.seller.atoms}
-                  | {(v, t) for v, t, _ in inst.buyer.atoms})
-    best_p, best_w = None, -np.inf
-    for level, tie in cand:
-        p = Price(level, tie)
-        w = fixed_price_welfare(inst, p)
-        if w > best_w + 1e-15:
-            best_p, best_w = p, w
-    return best_p, best_w
+    s, b = inst.seller, inst.buyer
+    cand = np.unique(np.concatenate([_keys(s.values, s.ties),
+                                     _keys(b.values, b.ties)]))
+    w = s.mean() + _cleared(inst, cand)
+    i = int(np.argmax(w >= w.max() * (1.0 - _TIE_RTOL)))
+    return Price(float(cand["v"][i]), float(cand["t"][i])), float(w[i])
 
 
 def scale_instance(inst: Instance, c: float) -> Instance:
@@ -183,8 +216,8 @@ class PriceDistribution:
     def __post_init__(self):
         total = 0.0
         for p, prob in self.atoms:
-            if prob < 0:
-                raise ValueError("negative atom probability")
+            if not 0.0 <= prob < math.inf:
+                raise ValueError("atom probability must be finite and nonnegative")
             total += prob
         for (a, b), poly in self.density_pieces:
             if not (0.0 <= a < b):
@@ -237,26 +270,33 @@ class PriceDistribution:
 def randomized_welfare(inst: Instance, pd: PriceDistribution) -> float:
     """Expected welfare when the price is drawn from pd.
 
-    Atom prices contribute their fixed-price gains; density pieces
-    contribute the exact integral of Pr[S <= p <= B] against each value
-    pair (endpoint ties are measure zero there).
+    Atom prices contribute their fixed-price gains. Density pieces
+    contribute, for each pair with seller value s below buyer value b,
+    (b - s)(F(b) - F(s)) with F the density's CDF (endpoint ties are
+    measure zero there); expanding the product sums it per buyer from four
+    prefix sums over the sellers strictly below.
     """
-    total = inst.seller.mean()
-    for p, prob in pd.atoms:
-        total += prob * _gains(inst, p)
+    s, b = inst.seller, inst.buyer
+    total = s.mean()
+    if pd.atoms:
+        probs = np.array([prob for _, prob in pd.atoms])
+        prices = _keys([p.level for p, _ in pd.atoms], [p.tie for p, _ in pd.atoms])
+        total += float(probs @ _cleared(inst, prices))
     if pd.density_pieces:
-        anti = [((a, b), q.antiderivative()) for (a, b), q in pd.density_pieces]
-        for sv, _, sm in inst.seller.atoms:
-            for bv, _, bm in inst.buyer.atoms:
-                if bv <= sv:
-                    continue
-                pr = 0.0
-                for (a, b), A in anti:
-                    lo = min(max(sv, a), b)
-                    hi = min(max(bv, a), b)
-                    if hi > lo:
-                        pr += A(hi) - A(lo)
-                total += sm * bm * (bv - sv) * pr
+        sv, sm, bv, bm = s.values, s.masses, b.values, b.masses
+
+        def cdf(x):
+            out = np.zeros(len(x))
+            for (lo, hi), q in pd.density_pieces:
+                A = q.antiderivative()
+                out += A(np.clip(x, lo, hi)) - A(lo)
+            return out
+
+        fs, fb = cdf(sv), cdf(bv)
+        below = np.searchsorted(sv, bv, side="left")
+        c0, cf, c1, c1f = (np.concatenate([[0.0], np.cumsum(x)])[below]
+                           for x in (sm, sm * fs, sm * sv, sm * sv * fs))
+        total += float(bm @ (bv * fb * c0 - bv * cf - fb * c1 + c1f))
     return float(total)
 
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Instance, DiscreteDistribution, best_fixed_price, opt_welfare
+from .core import (Instance, DiscreteDistribution, _gain_sweep, best_fixed_price,
+                   opt_welfare)
 from .numkernel import lp_problem, lp_solve, certified_binary_search
 
 
@@ -122,14 +123,9 @@ def welfare_rows(grid, s, b, *, inclusive) -> np.ndarray:
     p = grid.as_array()
     s = np.asarray(s, dtype=float)
     b = np.asarray(b, dtype=float)
-    tb = np.append(np.cumsum(b[::-1])[::-1], 0.0)       # sum_{j>=t} b_j
-    tbp = np.append(np.cumsum((b * p)[::-1])[::-1], 0.0)
-    hs = np.concatenate([[0.0], np.cumsum(s)])          # sum_{i<t} s_i
-    hsp = np.concatenate([[0.0], np.cumsum(s * p)])
     t = np.arange(grid.n)
     k = t + 1 if inclusive else t
-    gains = hs[k] * tbp[t + 1] - hsp[k] * tb[t + 1]
-    return float(s @ p) + gains
+    return float(s @ p) + _gain_sweep(p, s, p, b, k, t + 1)
 
 
 def opt_quadratic(grid, s, b) -> float:

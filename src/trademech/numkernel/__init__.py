@@ -1,4 +1,3 @@
-from .tolerances import Tolerances, DEFAULT
 from .poly import (
     Polynomial,
     X,
@@ -6,18 +5,16 @@ from .poly import (
     from_roots,
     poly_roots,
     poly_min_on_interval,
-    poly_max_abs_on_interval,
     fit_polynomial_pieces,
     DEGREE_CAP,
 )
 from .lp import LPProblem, LPSolution, lp_problem, lp_solve
-from .search import certified_binary_search, simplex_maximize, project_simplex
+from .search import certified_binary_search
 
 __all__ = [
-    "Tolerances", "DEFAULT",
     "Polynomial", "X", "ONE", "from_roots",
-    "poly_roots", "poly_min_on_interval", "poly_max_abs_on_interval",
+    "poly_roots", "poly_min_on_interval",
     "fit_polynomial_pieces", "DEGREE_CAP",
     "LPProblem", "LPSolution", "lp_problem", "lp_solve",
-    "certified_binary_search", "simplex_maximize", "project_simplex",
+    "certified_binary_search",
 ]

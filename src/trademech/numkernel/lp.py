@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tolerances import DEFAULT
-
 
 @dataclass(frozen=True)
 class LPProblem:
@@ -308,7 +306,7 @@ def _pivot_chunk(T, basis, ncols, budget, minpiv, quality, bland):
     return "budget", budget, None
 
 
-def lp_solve(prob: LPProblem, tol=DEFAULT) -> LPSolution:
+def lp_solve(prob: LPProblem) -> LPSolution:
     """Solve an LPProblem; see LPSolution for the contract.
 
     The dual vector has one entry per constraint row, signed so that for a

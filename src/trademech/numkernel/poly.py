@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .tolerances import DEFAULT
-
 DEGREE_CAP = 128
 
 
@@ -174,7 +172,7 @@ def _count_roots(chain, a: float, b: float) -> int:
     return _sign_variations(chain, a) - _sign_variations(chain, b)
 
 
-def poly_roots(f: Polynomial, a: float, b: float, tol=DEFAULT) -> list:
+def poly_roots(f: Polynomial, a: float, b: float) -> list:
     """All distinct real roots of f in [a, b], sorted ascending.
 
     Isolation by Sturm sign variations, refinement by bisection on the
@@ -289,9 +287,15 @@ def poly_roots(f: Polynomial, a: float, b: float, tol=DEFAULT) -> list:
                     and all(abs(xs[k] - q) > 1e-10 * max(1.0, abs(xs[k]))
                             for q in out)):
                 out.append(xs[k])
-        for k in range(33):
-            if vs[k] * vs[k + 1] < 0.0 and min(abs(vs[k]), abs(vs[k + 1])) > resid_tol:
-                u, v = xs[k], xs[k + 1]
+        # Bisect every sign change between consecutive samples of clear
+        # sign. A sample within resid_tol of zero is skipped rather than
+        # paired, so a root right next to a sample is still bracketed,
+        # while the sign noise around a reported root or a multiple root
+        # brackets nothing.
+        clear = [k for k in range(34) if abs(vs[k]) > resid_tol]
+        for k, k2 in zip(clear, clear[1:]):
+            if vs[k] * vs[k2] < 0.0:
+                u, v = xs[k], xs[k2]
                 fu = vs[k]
                 for _ in range(100):
                     m = 0.5 * (u + v)
@@ -328,17 +332,6 @@ def poly_min_on_interval(f: Polynomial, a: float, b: float):
         if v < best_v:
             best_x, best_v = x, v
     return best_x, best_v
-
-
-def poly_max_abs_on_interval(f: Polynomial, a: float, b: float) -> float:
-    """sup |f| over [a, b] via critical points."""
-    if b == a:
-        return abs(f(a))
-    candidates = [a, b]
-    fp = f.derivative()
-    if not fp.is_zero() and fp.degree >= 1:
-        candidates.extend(poly_roots(fp, a, b))
-    return max(abs(f(x)) for x in candidates)
 
 
 # ---------------------------------------------------------------------------

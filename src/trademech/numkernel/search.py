@@ -1,9 +1,6 @@
-"""Derivative-free maximization on the probability simplex, plus a
-bisection that only ever returns a value the caller's check accepted."""
+"""A bisection that only ever returns a value the caller's check accepted."""
 
 from __future__ import annotations
-
-import numpy as np
 
 
 def certified_binary_search(check, lo, hi, iters=100):
@@ -25,112 +22,3 @@ def certified_binary_search(check, lo, hi, iters=100):
         else:
             bad = mid
     return good
-
-
-def project_simplex(w):
-    """Clip to the nonnegative orthant and renormalize to unit sum."""
-    w = np.maximum(np.asarray(w, dtype=float), 0.0)
-    s = w.sum()
-    if s <= 0.0:
-        return np.full(w.size, 1.0 / w.size)
-    return w / s
-
-
-def _nelder_mead(f, x0, iters):
-    n = x0.size
-    if n == 1:
-        return x0.copy(), f(x0)
-    # initial simplex: x0 plus perturbations toward each vertex
-    pts = [x0]
-    for i in range(n):
-        p = x0.copy()
-        p[i] += 0.25
-        pts.append(project_simplex(p))
-    pts = np.array(pts)
-    vals = np.array([f(p) for p in pts])
-
-    for _ in range(iters):
-        order = np.argsort(-vals)          # maximize: best first
-        pts, vals = pts[order], vals[order]
-        if vals[0] - vals[-1] < 1e-13:
-            break
-        centroid = pts[:-1].mean(axis=0)
-        xr = project_simplex(centroid + 1.0 * (centroid - pts[-1]))
-        fr = f(xr)
-        if fr > vals[0]:
-            xe = project_simplex(centroid + 2.0 * (centroid - pts[-1]))
-            fe = f(xe)
-            if fe > fr:
-                pts[-1], vals[-1] = xe, fe
-            else:
-                pts[-1], vals[-1] = xr, fr
-        elif fr > vals[-2]:
-            pts[-1], vals[-1] = xr, fr
-        else:
-            xc = project_simplex(centroid + 0.5 * (pts[-1] - centroid))
-            fc = f(xc)
-            if fc > vals[-1]:
-                pts[-1], vals[-1] = xc, fc
-            else:
-                for i in range(1, n + 1):
-                    pts[i] = project_simplex(pts[0] + 0.5 * (pts[i] - pts[0]))
-                    vals[i] = f(pts[i])
-    k = int(np.argmax(vals))
-    return pts[k], vals[k]
-
-
-def _coordinate_polish(f, x, fx, rounds=3):
-    """Move mass between coordinate pairs at shrinking step sizes."""
-    n = x.size
-    if n == 1:
-        return x, fx
-    for step in (0.05, 0.01, 0.002, 0.0004):
-        for _ in range(rounds):
-            improved = False
-            for i in range(n):
-                for j in range(n):
-                    if i == j:
-                        continue
-                    d = min(step, x[j])
-                    if d <= 0.0:
-                        continue
-                    y = x.copy()
-                    y[j] -= d
-                    y[i] += d
-                    fy = f(y)
-                    if fy > fx + 1e-15:
-                        x, fx = y, fy
-                        improved = True
-            if not improved:
-                break
-    return x, fx
-
-
-def simplex_maximize(f, n, restarts=8, iters=400, seed=0):
-    """Maximize f over the n-dimensional probability simplex.
-
-    Deterministic: restart k uses rng(seed + k); restart 0 starts at the
-    uniform point. Results reduce by (value, weights) so parallel or
-    reordered restarts would pick the same winner. Returns (weights, value);
-    the value is exact at the returned point, so for certified objectives
-    it is a valid bound even when the search is only locally optimal.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n == 1:
-        w = np.ones(1)
-        return w, f(w)
-    best = None
-    for k in range(restarts):
-        if k == 0:
-            x0 = np.full(n, 1.0 / n)
-        else:
-            rng = np.random.default_rng(seed + k)
-            x0 = rng.dirichlet(np.ones(n))
-        x, fx = _nelder_mead(f, x0, iters)
-        x, fx = _coordinate_polish(f, x, fx)
-        key = (fx, tuple(x))
-        if best is None or key > best[0]:
-            best = (key, x, fx)
-    x = project_simplex(best[1])
-    return x, best[2]

@@ -60,6 +60,27 @@ def dists(max_atoms=5):
 instances = st.tuples(dists(), dists()).map(lambda sb: Instance(*sb))
 
 
+# Values on a coarse lattice shared by both sides, tie ranks from {0, 1/2, 1}
+# and masses with small integer numerators: welfare ties are common, and
+# welfare values that differ at all differ by far more than rounding.
+LATTICE = 0.25
+
+
+def lattice_dists(max_atoms=6):
+    keys = st.lists(st.tuples(st.integers(0, 8), st.sampled_from([0.0, 0.5, 1.0])),
+                    min_size=1, max_size=max_atoms, unique=True)
+
+    def with_masses(ks):
+        weights = st.lists(st.integers(1, 9), min_size=len(ks), max_size=len(ks))
+        return weights.map(lambda w: DiscreteDistribution.from_atoms(
+            [(i * LATTICE, t, wi / sum(w)) for (i, t), wi in zip(ks, w)]))
+
+    return keys.flatmap(with_masses)
+
+
+tie_instances = st.tuples(lattice_dists(), lattice_dists()).map(lambda sb: Instance(*sb))
+
+
 # ------------------------------------------------------------- opt_welfare
 
 def test_opt_deterministic_values():
@@ -164,6 +185,23 @@ def test_best_price_no_trade_possible():
     assert w == 2.0
 
 
+@given(tie_instances)
+@settings(max_examples=80, deadline=None)
+def test_sweep_matches_oracle_on_shared_levels_and_ties(inst):
+    cand = sorted({(v, t) for v, t, _ in inst.seller.atoms + inst.buyer.atoms})
+    levels = sorted({v for v, _ in cand})
+    probes = cand + [(0.5 * (a + b), 0.5) for a, b in zip(levels, levels[1:])]
+    probes.append((levels[-1] + 1.0, 0.5))
+    for level, tie in probes:
+        assert fixed_price_welfare(inst, Price(level, tie)) == pytest.approx(
+            oracle_fixed(inst, level, tie), rel=1e-12, abs=1e-12)
+    ref = [oracle_fixed(inst, level, tie) for level, tie in cand]
+    top = max(ref)
+    p, w = best_fixed_price(inst)
+    assert w == pytest.approx(top, rel=1e-12)
+    assert (p.level, p.tie) == next(c for c, r in zip(cand, ref) if r >= top - 1e-9)
+
+
 @given(instances)
 @settings(max_examples=40, deadline=None)
 def test_candidate_set_is_lossless(inst):
@@ -234,6 +272,26 @@ def test_price_validation():
         Price(-0.1)
     with pytest.raises(ValueError):
         Price(1.0, 1.5)
+
+
+def _json_seller(v):
+    return instance_from_json({"seller": [{"v": v, "p": 1.0}],
+                               "buyer": [{"v": 2.0, "p": 1.0}]})
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf")])
+@pytest.mark.parametrize("build", [
+    lambda x: DiscreteDistribution.from_atoms([(x, 0.5, 1.0)]),
+    lambda x: DiscreteDistribution.from_atoms([(1.0, x, 1.0)]),
+    lambda x: DiscreteDistribution.from_atoms([(1.0, 0.5, x)]),
+    lambda x: Price(x),
+    lambda x: Price(1.0, x),
+    lambda x: PriceDistribution(atoms=((Price(1.0), x),)),
+    lambda x: _json_seller(str(x)),
+], ids=["value", "tie", "mass", "level", "price_tie", "probability", "json"])
+def test_non_finite_input_rejected(build, x):
+    with pytest.raises(ValueError):
+        build(x)
 
 
 # ---------------------------------------------------------- PriceDistribution
@@ -319,6 +377,56 @@ def test_monte_carlo_cross_check_density_welfare():
     mc = sv.mean() + (trade * (bv - sv)).mean()
     exact = randomized_welfare(inst, pd)
     assert exact == pytest.approx(mc, abs=5e-3)
+
+
+def oracle_randomized(inst, pd):
+    """Atom prices through oracle_fixed; density pieces pair by pair."""
+    es = sum(v * m for v, _, m in inst.seller.atoms)
+    total = es + sum(prob * (oracle_fixed(inst, p.level, p.tie) - es)
+                     for p, prob in pd.atoms)
+    anti = [((a, b), q.antiderivative()) for (a, b), q in pd.density_pieces]
+    for sv, _, sm in inst.seller.atoms:
+        for bv, _, bm in inst.buyer.atoms:
+            if bv <= sv:
+                continue
+            pr = 0.0
+            for (a, b), A in anti:
+                lo = min(max(sv, a), b)
+                hi = min(max(bv, a), b)
+                if hi > lo:
+                    pr += A(hi) - A(lo)
+            total += sm * bm * (bv - sv) * pr
+    return total
+
+
+def price_distributions():
+    """Atoms at lattice or midpoint levels plus a density whose pieces
+    start and end on the lattice; nonnegative coefficients keep every
+    piece nonnegative on [0, inf)."""
+    atoms = st.lists(st.tuples(st.integers(0, 17), st.sampled_from([0.0, 0.5, 1.0]),
+                               st.integers(1, 9)), max_size=3)
+    ends = st.sets(st.integers(0, 10), min_size=2, max_size=5)
+    coeffs = st.lists(st.integers(0, 4), min_size=1, max_size=3)
+
+    def build(drawn):
+        atom_list, cuts, polys = drawn
+        cuts = sorted(cuts)
+        pieces = [((a * LATTICE, b * LATTICE), Polynomial(tuple(c) if any(c) else (1,)))
+                  for (a, b), c in zip(zip(cuts, cuts[1:]), polys)]
+        mass = sum(w for _, _, w in atom_list) + sum(q.integrate(a, b)
+                                                       for (a, b), q in pieces)
+        return PriceDistribution(
+            atoms=tuple((Price(i * LATTICE / 2, t), w / mass) for i, t, w in atom_list),
+            density_pieces=tuple((iv, q.scale(1.0 / mass)) for iv, q in pieces))
+
+    return st.tuples(atoms, ends, st.lists(coeffs, min_size=4, max_size=4)).map(build)
+
+
+@given(tie_instances, price_distributions())
+@settings(max_examples=80, deadline=None)
+def test_randomized_welfare_matches_pair_loop(inst, pd):
+    assert randomized_welfare(inst, pd) == pytest.approx(
+        oracle_randomized(inst, pd), rel=1e-12, abs=1e-12)
 
 
 # ------------------------------------------------------------------- JSON

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from trademech.numkernel import (
     Polynomial, X, ONE, from_roots, poly_roots, poly_min_on_interval,
-    poly_max_abs_on_interval, fit_polynomial_pieces,
+    fit_polynomial_pieces,
 )
 
 
@@ -88,6 +88,8 @@ def test_roots_match_companion_matrix_oracle(root_list):
 @given(st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=2,
                 max_size=7))
 @settings(max_examples=150, deadline=None)
+# a root at -1e-12, next to a tiny constant term, once slipped through
+@example([1e-12, 1.0, 1e-12, 0.0, 0.25])
 def test_roots_residual_and_no_missed_sign_change(coeffs):
     if all(abs(c) < 1e-6 for c in coeffs):
         return
@@ -141,11 +143,6 @@ def test_min_beats_grid(coeffs):
     grid = np.linspace(0.0, 1.0, 2001)
     gv = min(f(float(x)) for x in grid)
     assert v <= gv + 1e-9
-
-
-def test_max_abs():
-    f = Polynomial((0.0, 1.0))  # x on [-2, 1]
-    assert poly_max_abs_on_interval(f, -2.0, 1.0) == pytest.approx(2.0)
 
 
 def test_erm2_cross_product_minimizer():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from trademech.numkernel import certified_binary_search, simplex_maximize, project_simplex
+from trademech.numkernel import certified_binary_search
 
 
 def test_binary_search_threshold():
@@ -29,38 +29,3 @@ def test_binary_search_precondition_errors():
         certified_binary_search(lambda t: False, 0.0, 1.0)
     with pytest.raises(ValueError):
         certified_binary_search(lambda t: True, 0.0, 1.0)
-
-
-def test_projection_is_simplex_point():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        w = project_simplex(rng.uniform(-1, 2, 6))
-        assert np.all(w >= 0)
-        assert w.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_maximize_linear_objective():
-    w, v = simplex_maximize(lambda w: w[0], 2, restarts=4, iters=200)
-    assert v == pytest.approx(1.0, abs=1e-9)
-    assert w[0] == pytest.approx(1.0, abs=1e-9)
-
-
-def test_maximize_prefers_uniform():
-    w, v = simplex_maximize(lambda w: -float(np.sum((w - 0.25) ** 2)), 4,
-                            restarts=4, iters=400)
-    assert np.allclose(w, 0.25, atol=1e-5)
-
-
-def test_maximize_feasible_and_deterministic():
-    f = lambda w: float(w[0] * w[2] + 0.5 * w[1])
-    w1, v1 = simplex_maximize(f, 3, restarts=6, iters=300, seed=7)
-    w2, v2 = simplex_maximize(f, 3, restarts=6, iters=300, seed=7)
-    assert np.array_equal(w1, w2) and v1 == v2
-    assert np.all(w1 >= 0) and w1.sum() == pytest.approx(1.0, abs=1e-12)
-    assert v1 == pytest.approx(f(w1))
-
-
-def test_maximize_n_equals_one():
-    w, v = simplex_maximize(lambda w: 3.5, 1)
-    assert w.tolist() == [1.0]
-    assert v == 3.5
