@@ -9,9 +9,11 @@ form.
 
 All welfare here comes from one prefix-sum sweep over the sorted atoms,
 `_gain_sweep`, which the grid programs share: a price accepts a prefix of
-the sellers and a suffix of the buyers, found by binary search. Density
-prices reduce to the price CDF at each atom value and four prefix sums
-over the sellers below each buyer.
+the sellers and a suffix of the buyers, found by binary search. Atomless
+prices go through `_cdf_gains`, which needs only the price CDF at each
+atom value and four prefix sums over the sellers below each buyer; the
+polynomial densities here and the mean-keyed lotteries' closed-form CDFs
+both use it.
 """
 
 from __future__ import annotations
@@ -99,12 +101,6 @@ class Price:
             raise ValueError("price level must be finite and nonnegative")
         if not 0.0 <= self.tie <= 1.0:
             raise ValueError("price tie rank must lie in [0,1]")
-
-    def seller_accepts(self, value, tie) -> bool:
-        return (value, tie) <= (self.level, self.tie)
-
-    def buyer_accepts(self, value, tie) -> bool:
-        return (value, tie) >= (self.level, self.tie)
 
 
 def just_above(level: float) -> Price:
@@ -263,28 +259,36 @@ class PriceDistribution:
             pieces.append(((a * c, b * c), Polynomial(coeffs)))
         return PriceDistribution(atoms=atoms, density_pieces=tuple(pieces))
 
-    def density_mass(self) -> float:
-        return sum(q.integrate(a, b) for (a, b), q in self.density_pieces)
+
+def _cdf_gains(inst: Instance, cdf) -> float:
+    """Expected gains from trade when the price has the continuous CDF cdf.
+
+    cdf maps an array of values to Pr[price <= value]. A pair with seller
+    value s below buyer value b trades with probability F(b) - F(s)
+    (endpoint ties are measure zero); expanding (b - s)(F(b) - F(s)) sums
+    it per buyer from four prefix sums over the sellers strictly below.
+    """
+    sv, sm = inst.seller.values, inst.seller.masses
+    bv, bm = inst.buyer.values, inst.buyer.masses
+    fs, fb = cdf(sv), cdf(bv)
+    below = np.searchsorted(sv, bv, side="left")
+    c0, cf, c1, c1f = (np.concatenate([[0.0], np.cumsum(x)])[below]
+                       for x in (sm, sm * fs, sm * sv, sm * sv * fs))
+    return float(bm @ (bv * fb * c0 - bv * cf - fb * c1 + c1f))
 
 
 def randomized_welfare(inst: Instance, pd: PriceDistribution) -> float:
     """Expected welfare when the price is drawn from pd.
 
-    Atom prices contribute their fixed-price gains. Density pieces
-    contribute, for each pair with seller value s below buyer value b,
-    (b - s)(F(b) - F(s)) with F the density's CDF (endpoint ties are
-    measure zero there); expanding the product sums it per buyer from four
-    prefix sums over the sellers strictly below.
+    Atom prices contribute their fixed-price gains; the density pieces
+    contribute `_cdf_gains` under their piecewise-polynomial CDF.
     """
-    s, b = inst.seller, inst.buyer
-    total = s.mean()
+    total = inst.seller.mean()
     if pd.atoms:
         probs = np.array([prob for _, prob in pd.atoms])
         prices = _keys([p.level for p, _ in pd.atoms], [p.tie for p, _ in pd.atoms])
         total += float(probs @ _cleared(inst, prices))
     if pd.density_pieces:
-        sv, sm, bv, bm = s.values, s.masses, b.values, b.masses
-
         def cdf(x):
             out = np.zeros(len(x))
             for (lo, hi), q in pd.density_pieces:
@@ -292,11 +296,7 @@ def randomized_welfare(inst: Instance, pd: PriceDistribution) -> float:
                 out += A(np.clip(x, lo, hi)) - A(lo)
             return out
 
-        fs, fb = cdf(sv), cdf(bv)
-        below = np.searchsorted(sv, bv, side="left")
-        c0, cf, c1, c1f = (np.concatenate([[0.0], np.cumsum(x)])[below]
-                           for x in (sm, sm * fs, sm * sv, sm * sv * fs))
-        total += float(bm @ (bv * fb * c0 - bv * cf - fb * c1 + c1f))
+        total += _cdf_gains(inst, cdf)
     return float(total)
 
 

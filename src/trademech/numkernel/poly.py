@@ -2,8 +2,10 @@
 isolation (Sturm sequences + bisection) and interval minimization.
 
 Coefficients are stored ascending by degree. The degree cap of 128 keeps
-the float Sturm chain well-conditioned; everything built here stays far
-below it (Bernstein mixtures reach degree ~15, Chebyshev fits ~25).
+the float Sturm chain well-conditioned. `core.PriceDistribution` certifies
+its density pieces nonnegative through `poly_min_on_interval`; the
+mean-keyed lotteries need no polynomials, since `core._cdf_gains` prices
+them from their closed-form CDFs.
 """
 
 from __future__ import annotations
@@ -87,17 +89,6 @@ class Polynomial:
     def integrate(self, a: float, b: float) -> float:
         F = self.antiderivative()
         return F(b) - F(a)
-
-
-X = Polynomial((0.0, 1.0))
-ONE = Polynomial((1.0,))
-
-
-def from_roots(roots) -> Polynomial:
-    p = ONE
-    for r in roots:
-        p = p * Polynomial((-r, 1.0))
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -332,51 +323,3 @@ def poly_min_on_interval(f: Polynomial, a: float, b: float):
         if v < best_v:
             best_x, best_v = x, v
     return best_x, best_v
-
-
-# ---------------------------------------------------------------------------
-# Piecewise-polynomial fitting (Chebyshev interpolation, subdivided until the
-# sampled sup error meets the tolerance)
-
-
-def fit_polynomial_pieces(func, a: float, b: float, tol: float = 1e-10,
-                          max_degree: int = 24, max_pieces: int = 8):
-    """Approximate func on [a, b] by polynomial pieces.
-
-    Returns a list of ((lo, hi), Polynomial) covering [a, b]. Each piece is a
-    Chebyshev interpolant converted to the monomial basis; intervals are
-    bisected until the sampled max error on every piece is <= tol.
-    """
-    import numpy as np
-    from numpy.polynomial import chebyshev as C
-
-    def fit_one(lo, hi):
-        for deg in range(8, max_degree + 1, 4):
-            ch = C.Chebyshev.interpolate(func, deg, domain=[lo, hi])
-            xs = np.linspace(lo, hi, 211)
-            err = max(abs(ch(x) - func(x)) for x in xs)
-            if err <= tol:
-                # identity domain/window makes .coef plain monomial-in-x
-                mono = ch.convert(domain=[lo, hi], kind=np.polynomial.Polynomial,
-                                  window=[lo, hi])
-                p = Polynomial(tuple(mono.coef))
-                err2 = max(abs(p(x) - func(x)) for x in xs)
-                if err2 <= 2 * tol:
-                    return p, err2
-        return None, None
-
-    pieces = []
-    stack = [(a, b, 0)]
-    while stack:
-        lo, hi, depth = stack.pop()
-        p, err = fit_one(lo, hi)
-        if p is None:
-            if 2 ** (depth + 1) > max_pieces:
-                raise ValueError("cannot meet fit tolerance within piece budget")
-            mid = 0.5 * (lo + hi)
-            stack.append((mid, hi, depth + 1))
-            stack.append((lo, mid, depth + 1))
-        else:
-            pieces.append(((lo, hi), p))
-    pieces.sort(key=lambda q: q[0][0])
-    return pieces

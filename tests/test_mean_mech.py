@@ -1,13 +1,16 @@
 """Tests for the mean-keyed price lotteries."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
 import mean_oracles as mo
-from trademech.core import Instance, opt_welfare, scale_instance
+from trademech.core import (DiscreteDistribution, Instance, opt_welfare,
+                            scale_instance)
 from trademech.mean_mech import (BUYER_MEAN, SELLER_MEAN, MeanMechanism,
                                  family_objective, mean_mech_price_cdf,
                                  mean_mech_welfare, two_thirds_hardness,
@@ -126,6 +129,62 @@ def test_welfare_matches_quadrature():
             ref, _ = integrate.quad(lambda q: gains(q) * dens(q), 0.0, hi,
                                     points=pts, limit=300)
             assert got == pytest.approx(inst.seller.mean() + ref, abs=1e-8)
+
+
+def _exact_unit_cdf(side, u):
+    """The lottery's unit CDF written out in Fractions."""
+    if side == SELLER_MEAN:
+        return min(max(u, Fraction(0)), Fraction(3)) / 3
+    if u <= 0:
+        return Fraction(0)
+    if u <= Fraction(1, 2):
+        return u / (3 - 3 * u)
+    if u <= Fraction(2, 3):
+        return (4 * u - 1) / 3
+    if u < 2:
+        return (u + 1) / 3
+    return Fraction(1)
+
+
+def _exact_lottery_welfare(side, mean, inst):
+    """E[S] + sum over pairs with b > s of m_s m_b (b - s)(F(b) - F(s)),
+    every atom and the declared mean taken exactly as stored."""
+    mu = Fraction(mean)
+    sel = [(Fraction(v), Fraction(m)) for v, _, m in inst.seller.atoms]
+    buy = [(Fraction(v), Fraction(m)) for v, _, m in inst.buyer.atoms]
+
+    def cdf(v):
+        return _exact_unit_cdf(side, v / mu)
+
+    return (sum(m * v for v, m in sel)
+            + sum(ms * mb * (vb - vs) * (cdf(vb) - cdf(vs))
+                  for vs, ms in sel for vb, mb in buy if vb > vs))
+
+
+def _lattice_side(max_atoms=6):
+    """Values on a 1/8 lattice up to 5, so atoms land on the lottery's
+    breakpoints and past its support; masses from small integer weights."""
+    keys = st.lists(st.integers(0, 40), min_size=1, max_size=max_atoms,
+                    unique=True)
+
+    def with_masses(ks):
+        weights = st.lists(st.integers(1, 9), min_size=len(ks),
+                           max_size=len(ks))
+        return weights.map(lambda w: DiscreteDistribution.from_atoms(
+            [(k / 8.0, 0.5, wi / sum(w)) for k, wi in zip(ks, w)]))
+
+    return keys.flatmap(with_masses)
+
+
+@given(_lattice_side(), _lattice_side())
+@settings(max_examples=200, deadline=None)
+def test_welfare_matches_exact_rationals(seller, buyer):
+    assume(seller.mean() > 0.0 and buyer.mean() > 0.0)
+    inst = Instance(seller, buyer)
+    for side, mean in ((SELLER_MEAN, seller.mean()), (BUYER_MEAN, buyer.mean())):
+        got = mean_mech_welfare(MeanMechanism(side, mean), inst)
+        ref = _exact_lottery_welfare(side, mean, inst)
+        assert got == pytest.approx(float(ref), rel=1e-13), side
 
 
 def test_welfare_scale_invariance():

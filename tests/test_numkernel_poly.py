@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from trademech.numkernel import (
-    Polynomial, X, ONE, from_roots, poly_roots, poly_min_on_interval,
-    fit_polynomial_pieces,
-)
+from trademech.numkernel import Polynomial, poly_roots, poly_min_on_interval
+
+
+def from_roots(roots) -> Polynomial:
+    p = Polynomial((1.0,))
+    for r in roots:
+        p = p * Polynomial((-r, 1.0))
+    return p
 
 
 def test_arithmetic_basics():
@@ -119,7 +123,7 @@ def test_min_parabola():
 
 
 def test_min_boundary():
-    x, v = poly_min_on_interval(X, 2.0, 3.0)
+    x, v = poly_min_on_interval(Polynomial((0.0, 1.0)), 2.0, 3.0)
     assert (x, v) == (2.0, 2.0)
 
 
@@ -169,21 +173,3 @@ def test_erm2_cross_product_minimizer():
     _, mn = poly_min_on_interval(slack, 0.0, 1.0)
     assert mn >= -1e-12
 
-
-def test_fit_pieces_rational_density():
-    f = lambda x: 1.0 / (3.0 * (1.0 - x) ** 2)
-    pieces = fit_polynomial_pieces(f, 0.0, 0.5, tol=1e-10)
-    assert pieces[0][0][0] == 0.0 and pieces[-1][0][1] == 0.5
-    for (a, b), p in pieces:
-        xs = np.linspace(a, b, 300)
-        assert max(abs(p(float(x)) - f(float(x))) for x in xs) < 5e-10
-
-
-def test_fit_pieces_subdivides():
-    f = lambda x: np.sin(20.0 * x)  # too wiggly for one degree-8 piece
-    pieces = fit_polynomial_pieces(f, 0.0, 1.0, tol=1e-6, max_degree=8,
-                                   max_pieces=64)
-    assert len(pieces) > 1
-    for (a, b), p in pieces:
-        xs = np.linspace(a, b, 200)
-        assert max(abs(p(float(x)) - f(float(x))) for x in xs) < 5e-6
