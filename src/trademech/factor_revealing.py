@@ -311,18 +311,14 @@ def _half_step(grid, fixed, free, role):
         G = _row_coeffs_free_b(grid, fixed, inclusive)
         h = M @ np.asarray(fixed, dtype=float)
         rhs_shift = np.full(n, float(np.asarray(fixed) @ p))
-    cons = []
-    ones = [1.0] * n + [0.0]
+    ones = np.append(np.ones(n), 0.0)
     if role == "lower":
-        cons.append((ones, ">=", 1.0))
-        cons.append((ones, "<=", 1.0 + 1.0 / p[-1]))
+        cons = [(ones, ">=", 1.0), (ones, "<=", 1.0 + 1.0 / p[-1])]
     else:
-        cons.append((ones, "=", 1.0))
-    cons.append((list(h) + [0.0], ">=", 1.0))
-    for t in range(n):
-        cons.append((list(G[t]) + [-1.0], "<=", -rhs_shift[t]))
-    obj = [0.0] * n + [1.0]
-    sol = lp_solve(lp_problem(obj, cons))
+        cons = [(ones, "=", 1.0)]
+    cons.append((np.append(h, 0.0), ">=", 1.0))
+    cons.append((np.column_stack([G, -np.ones(n)]), "<=", -rhs_shift))
+    sol = lp_solve(lp_problem(np.append(np.zeros(n), 1.0), cons))
     if sol.status != "optimal":
         raise RuntimeError(f"half step LP came back {sol.status}")
     return sol.x[:n], float(sol.value)
@@ -412,35 +408,45 @@ def _best_alternate(grid, rounds):
     return best[0], best[1], best[2], total, best[3]
 
 
-def _mccormick_rows(n, nz_off, ls, us, lb, ub, nv):
-    rows = []
-    for i in range(n):
-        for j in range(n):
-            z = nz_off + i * n + j
-            lo_s, hi_s = ls[i], us[i]
-            lo_b, hi_b = lb[j], ub[j]
-            if lo_s > 0.0 or lo_b > 0.0:
-                row = [0.0] * nv
-                row[z] = 1.0
-                row[i] = -lo_b
-                row[n + j] = -lo_s
-                rows.append((row, ">=", -lo_s * lo_b))
-            row = [0.0] * nv
-            row[z] = 1.0
-            row[i] = -hi_b
-            row[n + j] = -hi_s
-            rows.append((row, ">=", -hi_s * hi_b))
-            row = [0.0] * nv
-            row[z] = 1.0
-            row[i] = -lo_b
-            row[n + j] = -hi_s
-            rows.append((row, "<=", -hi_s * lo_b))
-            row = [0.0] * nv
-            row[z] = 1.0
-            row[i] = -hi_b
-            row[n + j] = -lo_s
-            rows.append((row, "<=", -lo_s * hi_b))
-    return rows
+def _box_rows(grid, ls, us, lb, ub):
+    """The rows of the lower program's relaxation that depend on the box.
+
+    Variables are (s, b, z, r), with z_ij standing for s_i b_j at index
+    2n + i*n + j. On the box ls <= s <= us, lb <= b <= ub, four McCormick
+    envelopes bound each z_ij through the box corners; the (lo, lo) one
+    is left out where both lower bounds are 0, since z >= 0 says as much.
+    The aggregate rows use that the z block's row i sums to s_i times the
+    total buyer mass, so the box-clamped mass window pins it from both
+    sides (and likewise per column); these cut far deeper than the
+    pairwise envelopes alone. Returns the envelope blocks and the
+    aggregate blocks, each a list of (rows, rel, rhs).
+    """
+    n = grid.n
+    cap = 1.0 + 1.0 / grid.prices[-1]
+    E = np.eye(2 * n + n * n + 1)
+    S, B, Z = E[:n], E[n:2 * n], E[2 * n:-1]
+    pi, pj = divmod(np.arange(n * n), n)
+
+    def envelope(s_end, b_end, rel):
+        # z_ij against the plane through the corner (s_end, b_end)
+        return (Z - b_end[:, None] * S[pi] - s_end[:, None] * B[pj], rel,
+                -s_end * b_end)
+
+    lo_s, hi_s, lo_b, hi_b = ls[pi], us[pi], lb[pj], ub[pj]
+    low, rel, rhs = envelope(lo_s, lo_b, ">=")
+    keep = (lo_s > 0.0) | (lo_b > 0.0)
+    s_lo, s_hi = max(1.0, float(ls.sum())), min(cap, float(us.sum()))
+    b_lo, b_hi = max(1.0, float(lb.sum())), min(cap, float(ub.sum()))
+    z_rows = Z.reshape(n, n, -1).sum(axis=1)
+    z_cols = Z.reshape(n, n, -1).sum(axis=0)
+    return ([(low[keep], rel, rhs[keep]),
+             envelope(hi_s, hi_b, ">="),
+             envelope(hi_s, lo_b, "<="),
+             envelope(lo_s, hi_b, "<=")],
+            [(z_rows - b_hi * S, "<=", 0.0),
+             (z_rows - b_lo * S, ">=", 0.0),
+             (z_cols - s_hi * B, "<=", 0.0),
+             (z_cols - s_lo * B, ">=", 0.0)])
 
 
 def _branch_and_bound(grid, node_budget, gap_tol):
@@ -448,65 +454,26 @@ def _branch_and_bound(grid, node_budget, gap_tol):
     n = grid.n
     cap = 1.0 + 1.0 / p[-1]
     M = np.maximum.outer(p, p)
-    nz_off = 2 * n
-    nv = 2 * n + n * n + 1
+    E = np.eye(2 * n + n * n + 1)
+    S, B, Z, R = E[:n], E[n:2 * n], E[2 * n:-1], E[-1]
+    pi, pj = divmod(np.arange(n * n), n)
 
     # Static rows: mass windows, the optimum constraint on the product
-    # variables, and one welfare row per level.
-    static = []
-    s_ones = [1.0] * n + [0.0] * (n + n * n + 1)
-    b_ones = [0.0] * n + [1.0] * n + [0.0] * (n * n + 1)
-    static.append((s_ones, ">=", 1.0))
-    static.append((s_ones, "<=", cap))
-    static.append((b_ones, ">=", 1.0))
-    static.append((b_ones, "<=", cap))
-    opt_row = [0.0] * nv
-    for i in range(n):
-        for j in range(n):
-            opt_row[nz_off + i * n + j] = M[i, j]
-    static.append((opt_row, ">=", 1.0))
-    for t in range(n):
-        row = [0.0] * nv
-        for i in range(n):
-            row[i] = p[i]
-        for i in range(t):
-            for j in range(t + 1, n):
-                row[nz_off + i * n + j] = p[j] - p[i]
-        row[-1] = -1.0
-        static.append((row, "<=", 0.0))
-    obj = [0.0] * (nv - 1) + [1.0]
+    # variables, and one welfare row per level, which the price at level t
+    # collects from the pairs it clears.
+    cleared = (pi < np.arange(n)[:, None]) & (pj > np.arange(n)[:, None])
+    welfare = p @ S + (cleared * (p[pj] - p[pi])) @ Z - R
+    static = [(S.sum(axis=0), ">=", 1.0), (S.sum(axis=0), "<=", cap),
+              (B.sum(axis=0), ">=", 1.0), (B.sum(axis=0), "<=", cap),
+              (M.ravel() @ Z, ">=", 1.0), (welfare, "<=", 0.0)]
 
-    def solve_box(ls, us, lb, ub, objective=None, extra=()):
-        bounds = ([(ls[i], us[i]) for i in range(n)]
-                  + [(lb[j], ub[j]) for j in range(n)]
-                  + [(0.0, us[i] * ub[j]) for i in range(n) for j in range(n)]
-                  + [(0.0, None)])
-        cons = static + _mccormick_rows(n, nz_off, ls, us, lb, ub, nv)
-        cons.extend(extra)
-        # Aggregate product rows: the z block's row i sums to s_i times the
-        # total buyer mass, so box-clamped mass bounds pin it from both
-        # sides (and likewise per column). These cut far deeper than the
-        # pairwise envelopes alone.
-        s_lo, s_hi = max(1.0, float(ls.sum())), min(cap, float(us.sum()))
-        b_lo, b_hi = max(1.0, float(lb.sum())), min(cap, float(ub.sum()))
-        for i in range(n):
-            row = [0.0] * nv
-            for j in range(n):
-                row[nz_off + i * n + j] = 1.0
-            row[i] = -b_hi
-            cons.append((list(row), "<=", 0.0))
-            row[i] = -b_lo
-            cons.append((row, ">=", 0.0))
-        for j in range(n):
-            row = [0.0] * nv
-            for i in range(n):
-                row[nz_off + i * n + j] = 1.0
-            row[n + j] = -s_hi
-            cons.append((list(row), "<=", 0.0))
-            row[n + j] = -s_lo
-            cons.append((row, ">=", 0.0))
-        return lp_solve(lp_problem(obj if objective is None else objective,
-                                   cons, bounds=bounds))
+    def solve_box(ls, us, lb, ub, objective=R, extra=()):
+        bounds = np.column_stack([
+            np.concatenate([ls, lb, np.zeros(n * n + 1)]),
+            np.concatenate([us, ub, np.outer(us, ub).ravel(), [np.inf]])])
+        envelopes, aggregates = _box_rows(grid, ls, us, lb, ub)
+        cons = static + envelopes + list(extra) + aggregates
+        return lp_solve(lp_problem(objective, cons, bounds=bounds))
 
     inc_s, inc_r = _exact_incumbent(grid, np.full(n, 1.0 / n))
     inc_b = np.full(n, 1.0 / n)
@@ -521,13 +488,12 @@ def _branch_and_bound(grid, node_budget, gap_tol):
     # probe is a full-size LP, so only small grids earn the 4n solves.
     ls0, us0 = np.zeros(n), np.full(n, cap)
     lb0, ub0 = np.zeros(n), np.full(n, cap)
-    level_cap = (tuple([0.0] * (nv - 1) + [1.0]), "<=", inc_r + 1e-9)
+    level_cap = (R, "<=", inc_r + 1e-9)
     probes = range(2 * n) if n <= 8 else range(0)
     for k in probes:
         for sense in (1.0, -1.0):
-            e = [0.0] * nv
-            e[k] = sense
-            sol = solve_box(ls0, us0, lb0, ub0, objective=e, extra=(level_cap,))
+            sol = solve_box(ls0, us0, lb0, ub0, objective=sense * E[k],
+                            extra=(level_cap,))
             if sol.status != "optimal":
                 continue
             v = float(sol.x[k])
@@ -565,7 +531,7 @@ def _branch_and_bound(grid, node_budget, gap_tol):
             heapq.heappush(heap, (bound, counter + 10 ** 9, box, x))
             break
         s_val, b_val = x[:n], x[n:2 * n]
-        z_val = x[nz_off:nz_off + n * n].reshape(n, n)
+        z_val = x[2 * n:-1].reshape(n, n)
         viol = np.abs(z_val - np.outer(s_val, b_val)) * weight
         i, j = np.unravel_index(int(np.argmax(viol)), viol.shape)
         ls, us, lb, ub = (v.copy() for v in box)
@@ -719,16 +685,14 @@ def one_sided_value(grid: PriceGrid, fixed_side: str, fixed_vector, r: float,
         G = _row_coeffs_free_b(grid, vec, False)
         const = float(vec @ p)
     # Variables: lottery weights omega (n), then the three dual
-    # multipliers of the adversary's mass constraints.
-    obj = [0.0] * n + [-1.0, 1.0, -cap]
-    cons = []
-    for i in range(n):
-        row = list(-G[:, i]) + [-1.0, 1.0, 0.0]
-        if i == n - 1:
-            row[n], row[n + 2] = 0.0, -1.0
-        cons.append((row, "<=", -r * h[i]))
-    cons.append(([1.0] * n + [0.0, 0.0, 0.0], "=", 1.0))
-    sol = lp_solve(lp_problem(obj, cons, sense="max"))
+    # multipliers of the adversary's mass constraints. The top level's row
+    # takes the cap multiplier in place of the sub-top window's.
+    duals = np.tile([-1.0, 1.0, 0.0], (n, 1))
+    duals[-1] = [0.0, 1.0, -1.0]
+    cons = [(np.hstack([-G.T, duals]), "<=", -r * h),
+            (np.append(np.ones(n), np.zeros(3)), "=", 1.0)]
+    sol = lp_solve(lp_problem(np.append(np.zeros(n), [-1.0, 1.0, -cap]), cons,
+                              sense="max"))
     if sol.status != "optimal":
         raise RuntimeError(f"one-sided LP came back {sol.status}")
     return float(sol.value) + const, sol.x[:n]

@@ -209,12 +209,12 @@ def two_thirds_hardness(side, eps):
     pair = (inst_a, inst_b)
     base = [inst.seller.mean() for inst in pair]
     opt = [opt_welfare(inst) for inst in pair]
-    gain = [[fixed_price_welfare(inst, q) - b for inst, b in zip(pair, base)]
-            for q in regions]
+    gain = np.array([[fixed_price_welfare(inst, q) - b for inst, b in zip(pair, base)]
+                     for q in regions])
     # variables (m1, m2, r): lottery mass on each region and the ratio;
     # leftover mass sits at a price that never trades
-    cons = [((-gain[0][i], -gain[1][i], opt[i]), "<=", base[i]) for i in (0, 1)]
-    cons.append(((1.0, 1.0, 0.0), "<=", 1.0))
+    cons = [(np.column_stack([-gain.T, opt]), "<=", base),
+            ((1.0, 1.0, 0.0), "<=", 1.0)]
     sol = lp_solve(lp_problem((0.0, 0.0, 1.0), cons, sense="max"))
     if sol.status != "optimal":
         raise RuntimeError(f"hardness program came back {sol.status}")

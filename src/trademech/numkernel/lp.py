@@ -1,5 +1,13 @@
 """Dense linear programming via two-phase primal simplex.
 
+A problem is a set of arrays: objective c (n,), constraint matrix A
+(m, n), relations rel (m,) with -1, 0, +1 for '<=', '=', '>=', right-hand
+sides rhs (m,), and variable bounds lo, hi (n,) with -inf / +inf where a
+bound is missing. lp_problem stacks constraint blocks (rows, rel, rhs),
+each one row or a 2-D array of rows, into that form; lp_solve turns the
+bounds and relations into the standard form A x = b, x >= 0 with array
+operations.
+
 Deterministic pivoting: reduced-cost order with an exact ratio test whose
 ties break toward the largest pivot element, falling back to Bland's rule
 when an iteration budget suggests cycling. The tableau is refactorized
@@ -16,33 +24,28 @@ and fast enough.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+_RELATIONS = {"<=": -1, "=": 0, ">=": 1}
 
 
 @dataclass(frozen=True)
 class LPProblem:
-    """sense in {'min','max'}; constraints are (row, rel, rhs) with rel in
-    {'<=', '=', '>='}; bounds per variable as (lo, hi) with None = infinite.
-    Default bound is (0, None)."""
+    """Minimize or maximize c @ x subject to A @ x (rel) rhs, lo <= x <= hi.
 
-    objective: tuple
-    constraints: tuple
-    bounds: tuple = None
+    rel holds -1, 0, +1 for '<=', '=', '>='; lo and hi hold -inf and +inf
+    where a variable has no bound. Build one with lp_problem, which
+    validates the data."""
+
+    c: np.ndarray
+    A: np.ndarray
+    rel: np.ndarray
+    rhs: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
     sense: str = "min"
-
-    def __post_init__(self):
-        n = len(self.objective)
-        for row, rel, _ in self.constraints:
-            if len(row) != n:
-                raise ValueError("constraint width mismatch")
-            if rel not in ("<=", "=", ">="):
-                raise ValueError(f"bad relation {rel!r}")
-        if self.bounds is not None and len(self.bounds) != n:
-            raise ValueError("bounds length mismatch")
-        if self.sense not in ("min", "max"):
-            raise ValueError("sense must be 'min' or 'max'")
 
 
 @dataclass
@@ -55,11 +58,47 @@ class LPSolution:
 
 
 def lp_problem(objective, constraints, bounds=None, sense="min") -> LPProblem:
-    return LPProblem(tuple(float(c) for c in objective),
-                     tuple((tuple(float(a) for a in row), rel, float(rhs))
-                           for row, rel, rhs in constraints),
-                     None if bounds is None else tuple(bounds),
-                     sense)
+    """Stack constraint blocks into an LPProblem.
+
+    Each constraint is a block (rows, rel, rhs): rows is one row of
+    length n or a 2-D array with n columns, rel is '<=', '=' or '>=' for
+    the whole block, and rhs is a scalar or one value per row. Rows keep
+    the order given, which is the order of lp_solve's duals. bounds holds
+    one (lo, hi) pair per variable, with None or an infinity for a
+    missing bound; the default is x >= 0. Non-finite objective, row or
+    rhs entries and NaN bounds raise ValueError.
+    """
+    if sense not in ("min", "max"):
+        raise ValueError("sense must be 'min' or 'max'")
+    c = np.asarray(objective, dtype=float)
+    if c.ndim != 1:
+        raise ValueError("objective must be a vector")
+    n = c.size
+    blocks, rels, rhss = [np.zeros((0, n))], [], [np.zeros(0)]
+    for rows, rel, rhs in constraints:
+        rows = np.atleast_2d(np.asarray(rows, dtype=float))
+        if rows.ndim != 2 or rows.shape[1] != n:
+            raise ValueError("constraint width mismatch")
+        if rel not in _RELATIONS:
+            raise ValueError(f"bad relation {rel!r}")
+        blocks.append(rows)
+        rels += [_RELATIONS[rel]] * len(rows)
+        rhss.append(np.full(len(rows), rhs, dtype=float))
+    A, rel, rhs = np.vstack(blocks), np.array(rels, dtype=int), np.concatenate(rhss)
+    for name, v in (("objective", c), ("constraint rows", A), ("rhs", rhs)):
+        if not np.isfinite(v).all():
+            raise ValueError(f"{name} must be finite")
+    if bounds is None:
+        lo, hi = np.zeros(n), np.full(n, np.inf)
+    else:
+        box = np.array(bounds, dtype=object).reshape(-1, 2)
+        if len(box) != n:
+            raise ValueError("bounds length mismatch")
+        box = np.where(np.equal(box, None), [-np.inf, np.inf], box).astype(float)
+        lo, hi = box[:, 0], box[:, 1]
+        if not (np.all(lo < np.inf) and np.all(hi > -np.inf)):
+            raise ValueError("bounds must not be NaN, +inf below or -inf above")
+    return LPProblem(c, A, rel, rhs, lo, hi, sense)
 
 
 def _simplex_core(A, b, c, maxiter, reldir=None):
@@ -313,90 +352,37 @@ def lp_solve(prob: LPProblem) -> LPSolution:
     'min' problem duals of '<=' rows are <= 0 and duals of '>=' rows are
     >= 0 (and conversely for 'max'), with value = dual @ rhs + bound terms.
     """
-    c0 = np.array(prob.objective, dtype=float)
-    n0 = c0.size
     sign = 1.0 if prob.sense == "min" else -1.0
-    c0 = sign * c0
-
-    bounds = prob.bounds if prob.bounds is not None else tuple((0.0, None) for _ in range(n0))
+    m0, n0 = prob.A.shape
+    has_lo, has_hi = np.isfinite(prob.lo), np.isfinite(prob.hi)
 
     # Variable substitutions to reach x' >= 0
-    #   kind 'lo':  x = lo + u          one column  u
-    #   kind 'hi':  x = hi - u          one negated column
-    #   kind 'free':x = u - v           two columns
-    cols = []        # (orig index, mult, offset-contribution flag)
-    col_mult = []
-    col_orig = []
-    offsets = np.zeros(n0)
-    extra_rows = []  # upper-bound rows for doubly-bounded vars
-    for j, (lo, hi) in enumerate(bounds):
-        if lo is not None:
-            offsets[j] = lo
-            col_orig.append(j)
-            col_mult.append(1.0)
-            if hi is not None:
-                extra_rows.append((j, hi - lo))
-        elif hi is not None:
-            offsets[j] = hi
-            col_orig.append(j)
-            col_mult.append(-1.0)
-        else:
-            col_orig.append(j)
-            col_mult.append(1.0)
-            col_orig.append(j)
-            col_mult.append(-1.0)
-    nv = len(col_orig)
-
-    def to_subst_row(row):
-        out = np.zeros(nv)
-        for k in range(nv):
-            out[k] = row[col_orig[k]] * col_mult[k]
-        return out
-
-    rows = []
-    rhss = []
-    rels = []
-    for row, rel, rhs in prob.constraints:
-        r = np.array(row, dtype=float)
-        rows.append(to_subst_row(r))
-        rhss.append(rhs - float(r @ offsets))
-        rels.append(rel)
-    for j, ub in extra_rows:
-        r = np.zeros(n0)
-        r[j] = 1.0
-        rows.append(to_subst_row(r))
-        rhss.append(ub)
-        rels.append("<=")
-
-    m = len(rows)
-    nslack = sum(1 for rel in rels if rel != "=")
-    A = np.zeros((m, nv + nslack))
-    b = np.zeros(m)
-    cs = np.zeros(nv + nslack)
-    for k in range(nv):
-        cs[k] = c0[col_orig[k]] * col_mult[k]
-    si = nv
-    slack_of_row = [None] * m
-    for i in range(m):
-        A[i, :nv] = rows[i]
-        b[i] = rhss[i]
-        if rels[i] == "<=":
-            A[i, si] = 1.0
-            slack_of_row[i] = si
-            si += 1
-        elif rels[i] == ">=":
-            A[i, si] = -1.0
-            slack_of_row[i] = si
-            si += 1
-    # Make b >= 0 for phase 1
+    #   lower bound:      x = lo + u      column j holds u
+    #   upper bound only: x = hi - u      column j holds u, negated
+    #   free:             x = u - v       v goes in a column after the n0
+    # Doubly bounded variables also get a row u <= hi - lo.
+    free = np.flatnonzero(~(has_lo | has_hi))
+    boxed = np.flatnonzero(has_lo & has_hi)
+    mult = np.where(has_hi & ~has_lo, -1.0, 1.0)
+    offsets = np.where(has_lo, prob.lo, np.where(has_hi, prob.hi, 0.0))
+    nv = n0 + free.size
+    rel = np.concatenate([prob.rel, np.full(boxed.size, -1)])
+    m = rel.size
+    ineq = np.flatnonzero(rel)
+    A = np.zeros((m, nv + ineq.size))
+    A[:m0, :n0] = prob.A * mult
+    A[:m0, n0:nv] = -prob.A[:, free]
+    A[m0 + np.arange(boxed.size), boxed] = 1.0
+    A[ineq, nv + np.arange(ineq.size)] = -rel[ineq]   # slack: +1 for '<=', -1 for '>='
+    b = np.concatenate([prob.rhs - prob.A @ offsets, prob.hi[boxed] - prob.lo[boxed]])
+    c = sign * prob.c * mult
+    cs = np.concatenate([c, -c[free], np.zeros(ineq.size)])
+    # Make b >= 0 for phase 1; a row's slack coefficient, after the flip,
+    # is the direction in which it relaxes
     negrow = b < 0
-    A[negrow, :] *= -1.0
+    A[negrow] *= -1.0
     b[negrow] *= -1.0
-
-    reldir = np.zeros(m)
-    for i in range(m):
-        if slack_of_row[i] is not None:
-            reldir[i] = A[i, slack_of_row[i]]
+    reldir = np.where(negrow, rel, -rel).astype(float)
 
     status, xs, basis, iters = _simplex_core(A, b, cs, maxiter=200 * (m + nv + 10),
                                              reldir=reldir)
@@ -405,30 +391,22 @@ def lp_solve(prob: LPProblem) -> LPSolution:
     if status != "optimal":
         return LPSolution(status=status, iterations=iters)
 
-    x = offsets.copy()
-    for k in range(nv):
-        x[col_orig[k]] += col_mult[k] * xs[k]
-    value = float(np.array(prob.objective) @ x)
+    x = offsets + mult * xs[:n0]
+    x[free] -= xs[n0:nv]
+    value = float(prob.c @ x)
 
     # Duals: solve B^T y = c_B on the equality system, undo row negations,
     # drop the synthetic upper-bound rows, undo the sense flip. A basis slot
     # can still hold a phase-1 artificial (redundant row): zero-cost unit
     # column.
-    ncols = A.shape[1]
-    B = np.zeros((m, m))
-    cB = np.zeros(m)
-    for r, j in enumerate(basis):
-        if j < ncols:
-            B[:, r] = A[:, j]
-            cB[r] = cs[j]
-        else:
-            B[j - ncols, r] = 1.0
+    B = np.hstack([A, np.eye(m)])[:, basis]
+    cB = np.append(cs, np.zeros(m))[basis]
     try:
         y = np.linalg.solve(B.T, cB)
     except np.linalg.LinAlgError:
         y = np.linalg.lstsq(B.T, cB, rcond=None)[0]
     y = np.where(negrow, -y, y)
-    dual = sign * y[:len(prob.constraints)]
+    dual = sign * y[:prob.rel.size]
 
     return LPSolution(status="optimal", x=x, value=value, dual=dual,
                       iterations=iters)

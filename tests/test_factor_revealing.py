@@ -22,7 +22,7 @@ from trademech.core import (
     fixed_price_welfare, opt_welfare, scale_instance,
 )
 from trademech.factor_revealing import (
-    GridCertificate, PriceGrid, REFERENCE_GRID_16, certificate_from_json,
+    GridCertificate, PriceGrid, REFERENCE_GRID_16, _box_rows, certificate_from_json,
     certificate_to_json, convergence_bracket, discretize_distribution,
     lowerop_solve, one_sided_certify, one_sided_value, opt_quadratic,
     upperop_search, upperop_to_instance, verify_certificate, welfare_rows,
@@ -236,6 +236,35 @@ def test_lowerop_rejects_wide_grids():
     levels = tuple([0.0] + [float(k) for k in range(1, 25)])
     with pytest.raises(ValueError):
         lowerop_solve(PriceGrid(levels), "branch_and_bound")
+
+
+@pytest.mark.parametrize("prices", [(0.0, 0.5, 1000.0), (0.0, 0.3, 0.7, 2.0)])
+def test_box_rows_contain_every_true_point(prices):
+    """Every point of the program inside a box, with z = s b^T, satisfies
+    every envelope and aggregate row built for that box, so no branch
+    cuts off a true point."""
+    grid = PriceGrid(prices)
+    n = grid.n
+    cap = 1.0 + 1.0 / prices[-1]
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        # a point in the mass windows, then a random box around it, with
+        # about a third of the lower bounds at 0
+        s, b = (rng.dirichlet(np.ones(n)) * rng.uniform(1.0, cap) for _ in range(2))
+        ls, lb = (v * rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.7) for v in (s, b))
+        us, ub = (v + rng.uniform(0.0, 0.5, n) * (rng.random(n) < 0.7) for v in (s, b))
+        envelopes, aggregates = _box_rows(grid, ls, us, lb, ub)
+        blocks = envelopes + aggregates
+        lows = int(np.sum((ls[:, None] > 0.0) | (lb[None, :] > 0.0)))
+        assert sum(len(np.atleast_2d(rows)) for rows, _, _ in blocks) == lows + 3 * n * n + 4 * n
+        x = np.concatenate([s, b, np.outer(s, b).ravel(), [0.0]])
+        for rows, rel, rhs in blocks:
+            lhs = np.atleast_2d(rows) @ x
+            if rel == "<=":
+                assert np.all(lhs <= rhs + 1e-12)
+            else:
+                assert rel == ">="
+                assert np.all(lhs >= rhs - 1e-12)
 
 
 def random_instance(rng, atoms=4):

@@ -91,6 +91,14 @@ def test_random_lps_match_scipy(seed):
     sense = "max" if rng.integers(0, 2) else "min"
     prob = lp_problem(list(c), cons, bounds=bounds, sense=sense)
     sol = lp_solve(prob)
+    # The same rows as one 2-D block per relation give the same answer,
+    # with the duals in block order
+    order = [k for rel in ("<=", ">=", "=") for k in range(m) if cons[k][1] == rel]
+    blocks = [(np.array([cons[k][0] for k in order if cons[k][1] == rel]).reshape(-1, n),
+               rel, [cons[k][2] for k in order if cons[k][1] == rel])
+              for rel in ("<=", ">=", "=")]
+    by_block = lp_solve(lp_problem(c, blocks, bounds=bounds, sense=sense))
+    assert by_block.status == sol.status
     ref = _scipy_check(list(c), cons, bounds, sense)
     if ref.status == 2:
         assert sol.status == "infeasible"
@@ -106,6 +114,27 @@ def test_random_lps_match_scipy(seed):
             assert lhs >= rhs - 1e-9
         else:
             assert lhs == pytest.approx(rhs, abs=1e-9)
+    assert by_block.x == pytest.approx(sol.x, abs=1e-9)
+    assert by_block.value == pytest.approx(sol.value, abs=1e-9)
+    assert by_block.dual == pytest.approx(sol.dual[order], abs=1e-9)
+
+
+@pytest.mark.parametrize("field", ["objective", "row", "rhs", "bounds"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_input_rejected(field, bad):
+    c, row, rhs, bounds = [1.0, 1.0], [1.0, 1.0], 1.0, [(0.0, 2.0), (None, 3.0)]
+    if field == "objective":
+        c = [bad, 1.0]
+    elif field == "row":
+        row = [1.0, bad]
+    elif field == "rhs":
+        rhs = bad
+    elif np.isnan(bad):
+        bounds = [(0.0, bad), (None, 3.0)]
+    else:
+        bounds = [(bad, 2.0), (None, 3.0)]      # +inf is no lower bound
+    with pytest.raises(ValueError):
+        lp_problem(c, [(row, ">=", rhs)], bounds=bounds)
 
 
 @pytest.mark.parametrize("seed", range(20))
