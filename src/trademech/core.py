@@ -4,8 +4,8 @@ Values live on discrete supports with an explicit tie rank in [0,1], so
 "just above v" is representable exactly as (v, 1) instead of v + epsilon.
 A price accepts a seller atom iff (value, tie) <= (level, tie) in
 lexicographic order, and a buyer atom iff >=. Continuous price rules are
-piecewise-polynomial densities; welfare against them integrates in closed
-form.
+piecewise-polynomial densities, each piece a tuple of coefficients in
+ascending degree; welfare against them integrates in closed form.
 
 All welfare here comes from one prefix-sum sweep over the sorted atoms,
 `_gain_sweep`, which the grid programs share: a price accepts a prefix of
@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .numkernel import Polynomial, poly_min_on_interval
 
 _MASS_TOL = 1e-12
 _PD_MASS_TOL = 1e-10
@@ -196,14 +194,41 @@ def scale_instance(inst: Instance, c: float) -> Instance:
         DiscreteDistribution(tuple((v * c, t, m) for v, t, m in inst.buyer.atoms)))
 
 
+def poly_min_on_interval(coeffs, a, b):
+    """(x*, f(x*)) minimizing f(x) = sum(coeffs[k] * x**k) over [a, b].
+
+    The candidates are the endpoints and the real parts of all roots of
+    f', clipped to [a, b]: every extremum inside is a real root of f',
+    which numpy finds as an eigenvalue of the companion matrix, and any
+    other candidate is still a point of [a, b]. Leading terms of f' below
+    1e-14 of its largest term on [a, b] are dropped first; they barely
+    move f' there but would swamp the companion matrix.
+    """
+    if b < a:
+        raise ValueError("need b >= a")
+    f = np.asarray(coeffs, dtype=float)[::-1]
+    d = np.polyder(f)
+    size = np.abs(d) * max(abs(a), abs(b), 1.0) ** np.arange(d.size)[::-1]
+    d = d[np.cumsum(size > 1e-14 * size.max(initial=0.0)) > 0]
+    xs = np.concatenate([[a, b], np.clip(np.roots(d).real, a, b)])
+    vs = np.polyval(f, xs)
+    i = int(np.argmin(vs))
+    return float(xs[i]), float(vs[i])
+
+
+def _antiderivative(coeffs):
+    """Antiderivative of a piece, highest degree first as np.polyval takes it."""
+    return np.polyint(np.asarray(coeffs, dtype=float)[::-1])
+
+
 @dataclass(frozen=True)
 class PriceDistribution:
     """Random price rule: point masses plus piecewise-polynomial density.
 
-    atoms: tuple of (Price, prob); density_pieces: tuple of ((a, b), poly)
-    with the density poly(x) on [a, b). Total mass must be 1 and each
-    density piece nonnegative (certified through root isolation, not
-    sampling).
+    atoms: tuple of (Price, prob); density_pieces: tuple of ((a, b),
+    coeffs) with the density sum(coeffs[k] * x**k) on [a, b). Total mass
+    must be 1, and each piece's minimum over its endpoints and critical
+    points (poly_min_on_interval) must not fall below -1e-9.
     """
 
     atoms: tuple = ()
@@ -215,13 +240,14 @@ class PriceDistribution:
             if not 0.0 <= prob < math.inf:
                 raise ValueError("atom probability must be finite and nonnegative")
             total += prob
-        for (a, b), poly in self.density_pieces:
+        for (a, b), coeffs in self.density_pieces:
             if not (0.0 <= a < b):
                 raise ValueError(f"bad density interval [{a}, {b})")
-            _, mn = poly_min_on_interval(poly, a, b)
+            _, mn = poly_min_on_interval(coeffs, a, b)
             if mn < -1e-9:
                 raise ValueError(f"density dips to {mn} on [{a}, {b})")
-            total += poly.integrate(a, b)
+            A = _antiderivative(coeffs)
+            total += float(np.polyval(A, b) - np.polyval(A, a))
         if abs(total - 1.0) > _PD_MASS_TOL:
             raise ValueError(f"price distribution mass {total} is not 1")
 
@@ -231,9 +257,8 @@ class PriceDistribution:
 
     @classmethod
     def from_density(cls, pieces):
-        """pieces: iterable of ((a, b), coeffs-or-Polynomial)."""
-        packed = tuple(((float(a), float(b)),
-                        q if isinstance(q, Polynomial) else Polynomial(tuple(q)))
+        """pieces: iterable of ((a, b), coeffs), coeffs ascending by degree."""
+        packed = tuple(((float(a), float(b)), tuple(float(c) for c in q))
                        for (a, b), q in pieces)
         return cls(density_pieces=packed)
 
@@ -243,8 +268,10 @@ class PriceDistribution:
             raise ValueError("mixture weight outside [0,1]")
         atoms = tuple((p, w * pr) for p, pr in self.atoms if w * pr > 0)
         atoms += tuple((p, (1 - w) * pr) for p, pr in other.atoms if (1 - w) * pr > 0)
-        pieces = tuple((iv, q.scale(w)) for iv, q in self.density_pieces if w > 0)
-        pieces += tuple((iv, q.scale(1 - w)) for iv, q in other.density_pieces if w < 1)
+        pieces = tuple((iv, tuple(w * c for c in q))
+                       for iv, q in self.density_pieces if w > 0)
+        pieces += tuple((iv, tuple((1 - w) * c for c in q))
+                        for iv, q in other.density_pieces if w < 1)
         return PriceDistribution(atoms=atoms, density_pieces=pieces)
 
     def scaled(self, c: float) -> "PriceDistribution":
@@ -252,12 +279,10 @@ class PriceDistribution:
         if c <= 0:
             raise ValueError("scale factor must be positive")
         atoms = tuple((Price(p.level * c, p.tie), pr) for p, pr in self.atoms)
-        pieces = []
-        for (a, b), q in self.density_pieces:
-            # new density r(y) = q(y/c)/c on [c*a, c*b)
-            coeffs = tuple(ck / c ** (k + 1) for k, ck in enumerate(q.coeffs))
-            pieces.append(((a * c, b * c), Polynomial(coeffs)))
-        return PriceDistribution(atoms=atoms, density_pieces=tuple(pieces))
+        # new density r(y) = q(y/c)/c on [c*a, c*b)
+        pieces = tuple(((a * c, b * c), tuple(ck / c ** (k + 1) for k, ck in enumerate(q)))
+                       for (a, b), q in self.density_pieces)
+        return PriceDistribution(atoms=atoms, density_pieces=pieces)
 
 
 def _cdf_gains(inst: Instance, cdf) -> float:
@@ -292,8 +317,8 @@ def randomized_welfare(inst: Instance, pd: PriceDistribution) -> float:
         def cdf(x):
             out = np.zeros(len(x))
             for (lo, hi), q in pd.density_pieces:
-                A = q.antiderivative()
-                out += A(np.clip(x, lo, hi)) - A(lo)
+                A = _antiderivative(q)
+                out += np.polyval(A, np.clip(x, lo, hi)) - np.polyval(A, lo)
             return out
 
         total += _cdf_gains(inst, cdf)

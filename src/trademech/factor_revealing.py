@@ -372,8 +372,6 @@ def lowerop_solve(grid: PriceGrid, mode: str = "branch_and_bound", *,
         return GridCertificate(grid, tuple(s), tuple(b), r, "lower", info)
     if mode != "branch_and_bound":
         raise ValueError(f"unknown mode {mode!r}")
-    if grid.n > 24:
-        raise ValueError("dense branch and bound is limited to 24 levels")
     return _branch_and_bound(grid, node_budget, gap_tol)
 
 
@@ -722,12 +720,12 @@ def convergence_bracket(base_grid_step: float, range_cap: float, *,
     """Bracket the true worst-case ratio with a uniform grid.
 
     Builds levels 0, step, 2*step, ... up to the cap plus a far anchor at
-    1000. The lower side is the proven branch-and-bound bound (run on an
-    evenly thinned copy when the grid is too large for the dense solver;
-    any grid's guarantee is a valid lower bound for the unrestricted
-    problem). The upper side is the best hardness witness the alternating
-    search finds on the full grid. Both sides bound the same quantity, so
-    lower <= upper always.
+    1000. The lower side is the proven branch-and-bound bound, run on an
+    evenly thinned copy of at most 12 levels, which keeps each node's LP
+    small (any grid's guarantee is a valid lower bound for the
+    unrestricted problem). The upper side is the best hardness witness
+    the alternating search finds on the full grid. Both sides bound the
+    same quantity, so lower <= upper always.
     """
     if base_grid_step <= 0:
         raise ValueError("grid step must be positive")

@@ -10,7 +10,6 @@ from trademech.core import (
     instance_to_json, just_above, just_below, opt_welfare,
     randomized_welfare, scale_instance,
 )
-from trademech.numkernel import Polynomial
 
 
 # ---------------------------------------------------------------- oracles
@@ -328,7 +327,7 @@ def test_price_distribution_negativity_rejected():
     with pytest.raises(ValueError):
         PriceDistribution(
             atoms=((Price(5.0), 1.0 - 0.375),),
-            density_pieces=(((0.0, 1.0), Polynomial((-0.25, 1.0))),))
+            density_pieces=(((0.0, 1.0), (-0.25, 1.0)),))
 
 
 def test_mixture_linearity():
@@ -347,7 +346,7 @@ def test_scaled_price_distribution_tracks_scaled_instance():
                                 [(1.0, 0.7), (3.0, 0.3)])
     pd = PriceDistribution(
         atoms=((Price(1.0), 0.25),),
-        density_pieces=(((0.0, 3.0), Polynomial((0.25,))),))
+        density_pieces=(((0.0, 3.0), (0.25,)),))
     for c in (0.5, 2.0, 7.3):
         w = randomized_welfare(inst, pd)
         ws = randomized_welfare(scale_instance(inst, c), pd.scaled(c))
@@ -379,22 +378,27 @@ def test_monte_carlo_cross_check_density_welfare():
     assert exact == pytest.approx(mc, abs=5e-3)
 
 
+def piece_integral(coeffs, lo, hi):
+    """Integral of sum(coeffs[k] * x**k) over [lo, hi], term by term."""
+    return sum(c * (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
+               for k, c in enumerate(coeffs))
+
+
 def oracle_randomized(inst, pd):
     """Atom prices through oracle_fixed; density pieces pair by pair."""
     es = sum(v * m for v, _, m in inst.seller.atoms)
     total = es + sum(prob * (oracle_fixed(inst, p.level, p.tie) - es)
                      for p, prob in pd.atoms)
-    anti = [((a, b), q.antiderivative()) for (a, b), q in pd.density_pieces]
     for sv, _, sm in inst.seller.atoms:
         for bv, _, bm in inst.buyer.atoms:
             if bv <= sv:
                 continue
             pr = 0.0
-            for (a, b), A in anti:
+            for (a, b), q in pd.density_pieces:
                 lo = min(max(sv, a), b)
                 hi = min(max(bv, a), b)
                 if hi > lo:
-                    pr += A(hi) - A(lo)
+                    pr += piece_integral(q, lo, hi)
             total += sm * bm * (bv - sv) * pr
     return total
 
@@ -411,13 +415,13 @@ def price_distributions():
     def build(drawn):
         atom_list, cuts, polys = drawn
         cuts = sorted(cuts)
-        pieces = [((a * LATTICE, b * LATTICE), Polynomial(tuple(c) if any(c) else (1,)))
+        pieces = [((a * LATTICE, b * LATTICE), tuple(c) if any(c) else (1,))
                   for (a, b), c in zip(zip(cuts, cuts[1:]), polys)]
-        mass = sum(w for _, _, w in atom_list) + sum(q.integrate(a, b)
+        mass = sum(w for _, _, w in atom_list) + sum(piece_integral(q, a, b)
                                                        for (a, b), q in pieces)
         return PriceDistribution(
             atoms=tuple((Price(i * LATTICE / 2, t), w / mass) for i, t, w in atom_list),
-            density_pieces=tuple((iv, q.scale(1.0 / mass)) for iv, q in pieces))
+            density_pieces=tuple((iv, tuple(c / mass for c in q)) for iv, q in pieces))
 
     return st.tuples(atoms, ends, st.lists(coeffs, min_size=4, max_size=4)).map(build)
 

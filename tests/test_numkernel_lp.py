@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import trademech
 from trademech.numkernel import lp_problem, lp_solve
 
 
@@ -106,14 +112,26 @@ def test_random_lps_match_scipy(seed):
     assert ref.status == 0 and sol.status == "optimal"
     want = ref.fun if sense == "min" else -ref.fun
     assert sol.value == pytest.approx(want, abs=1e-7)
-    for row, rel, rhs in cons:
+    # Optimality without reference to scipy: x is feasible, each dual has
+    # the sign its relation and the sense call for and sits on a tight
+    # row, and the reduced costs c - A^T dual have the signs the bounds
+    # call for, so x and the duals certify each other
+    sgn = 1.0 if sense == "min" else -1.0
+    for (row, rel, rhs), y in zip(cons, sol.dual):
         lhs = float(np.array(row) @ sol.x)
         if rel == "<=":
             assert lhs <= rhs + 1e-9
+            assert sgn * y <= 1e-9
         elif rel == ">=":
             assert lhs >= rhs - 1e-9
+            assert sgn * y >= -1e-9
         else:
             assert lhs == pytest.approx(rhs, abs=1e-9)
+        if abs(y) > 1e-9:
+            assert lhs == pytest.approx(rhs, abs=1e-9)
+    reduced = sgn * (c - np.array([row for row, _, _ in cons]).T @ sol.dual)
+    assert np.all(reduced[sol.x > 1e-9] <= 1e-7)
+    assert np.all(reduced[sol.x < 10.0 - 1e-9] >= -1e-7)
     assert by_block.x == pytest.approx(sol.x, abs=1e-9)
     assert by_block.value == pytest.approx(sol.value, abs=1e-9)
     assert by_block.dual == pytest.approx(sol.dual[order], abs=1e-9)
@@ -178,3 +196,41 @@ def test_degenerate_lp_does_not_cycle():
     assert sol.value == pytest.approx(-0.05, abs=1e-9)
     ref = _scipy_check(c, cons, [(0, None)] * 4, "min")
     assert sol.value == pytest.approx(ref.fun, abs=1e-9)
+
+
+def _python(code, *path):
+    """Run code in a fresh interpreter that imports trademech from this
+    tree, with the directories in path searched first."""
+    src = str(Path(trademech.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([*map(str, path), src]))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_scipy_optimize_imports_after_lp_solve():
+    # lp_solve loads HiGHS alone; scipy.optimize must still import and
+    # solve afterwards in the same process
+    out = _python(
+        "import sys\n"
+        "from trademech.numkernel import lp_problem, lp_solve\n"
+        "sol = lp_solve(lp_problem([1.0], [([1.0], '>=', 2.0)]))\n"
+        "print('scipy.optimize' in sys.modules)\n"
+        "from scipy.optimize import linprog\n"
+        "res = linprog([1.0], A_ub=[[-1.0]], b_ub=[-2.0])\n"
+        "print(sol.value, res.fun)\n")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "2.0", "2.0"]
+
+
+def test_missing_highs_extension_raises_import_error(tmp_path):
+    # a scipy package without the HiGHS extension comes first on the path
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text("")
+    out = _python(
+        "from trademech.numkernel import lp_problem, lp_solve\n"
+        "try:\n"
+        "    lp_solve(lp_problem([1.0], [([1.0], '>=', 2.0)]))\n"
+        "except ImportError as e:\n"
+        "    print(e)\n", tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert "HiGHS" in out.stdout
