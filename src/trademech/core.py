@@ -9,7 +9,9 @@ ascending degree; welfare against them integrates in closed form.
 
 All welfare here comes from one prefix-sum sweep over the sorted atoms,
 `_gain_sweep`, which the grid programs share: a price accepts a prefix of
-the sellers and a suffix of the buyers, found by binary search. Atomless
+the sellers and a suffix of the buyers, found by binary search. The sweep
+takes mass arrays with leading batch axes, so the grid programs get every
+LP coefficient block from it by sweeping one-hot mass vectors. Atomless
 prices go through `_cdf_gains`, which needs only the price CDF at each
 atom value and four prefix sums over the sellers below each buyer; the
 polynomial densities here and the mean-keyed lotteries' closed-form CDFs
@@ -138,13 +140,18 @@ def _gain_sweep(sv, sm, bv, bm, k, j):
     order. The gains are S0[k] B1[j] - S1[k] B0[j], with S0, S1 the seller
     prefix sums of mass and mass x value and B0, B1 the buyer suffix sums.
     Every such pair has buyer value >= seller value, so each term is a
-    true gain.
+    true gain. Masses may carry leading batch axes: the sums run along the
+    last axis, the batch axes of the two sides broadcast, and the result
+    has shape batch + k.shape.
     """
-    s0 = np.concatenate([[0.0], np.cumsum(sm)])
-    s1 = np.concatenate([[0.0], np.cumsum(sm * sv)])
-    b0 = np.append(np.cumsum(bm[::-1])[::-1], 0.0)
-    b1 = np.append(np.cumsum((bm * bv)[::-1])[::-1], 0.0)
-    return s0[k] * b1[j] - s1[k] * b0[j]
+    def prefix(x):
+        # sums of x[..., :i] for i = 0 .. len, along the last axis
+        return np.concatenate([np.zeros(x.shape[:-1] + (1,)),
+                               np.cumsum(x, axis=-1)], axis=-1)
+
+    s0, s1 = prefix(sm), prefix(sm * sv)
+    b0, b1 = (prefix(x[..., ::-1])[..., ::-1] for x in (bm, bm * bv))
+    return s0[..., k] * b1[..., j] - s1[..., k] * b0[..., j]
 
 
 def _keys(values, ties):
@@ -342,8 +349,11 @@ def instance_from_json(obj) -> Instance:
         for row in rows:
             if not isinstance(row, dict) or "v" not in row or "p" not in row:
                 raise ValueError(f"each {name} atom needs 'v' and 'p'")
-            atoms.append((float(row["v"]), float(row.get("tie", 0.5)),
-                          float(row["p"])))
+            try:
+                atoms.append((float(row["v"]), float(row.get("tie", 0.5)),
+                              float(row["p"])))
+            except TypeError as e:
+                raise ValueError(f"{name} atom fields must be numbers") from e
         return DiscreteDistribution.from_atoms(atoms)
 
     return Instance(side(obj["seller"], "seller"), side(obj["buyer"], "buyer"))

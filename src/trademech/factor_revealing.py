@@ -113,19 +113,42 @@ class GridCertificate:
             raise ValueError("mass vectors must be nonnegative")
 
 
-def welfare_rows(grid, s, b, *, inclusive) -> np.ndarray:
-    """Welfare of each grid price against mass vectors s and b.
+def _row_gains(grid, s, b, inclusive) -> np.ndarray:
+    """Gains each grid price clears against mass vectors s and b.
 
-    Row t is sum_i s_i p_i plus the gains over seller/buyer pairs that the
-    price at level t clears: sellers strictly below level t (also at t
-    itself when inclusive) paired with buyers strictly above.
+    The price at level t clears the seller/buyer pairs with the seller
+    strictly below level t (also at t itself when inclusive) and the
+    buyer strictly above. s and b may carry leading batch axes, which
+    broadcast; the last axis of the result runs over the levels.
     """
     p = grid.as_array()
+    t = np.arange(grid.n)
+    return _gain_sweep(p, s, p, b, t + 1 if inclusive else t, t + 1)
+
+
+def welfare_rows(grid, s, b, *, inclusive) -> np.ndarray:
+    """Welfare of each grid price against mass vectors s and b: row t is
+    sum_i s_i p_i plus the gains the price at level t clears."""
     s = np.asarray(s, dtype=float)
     b = np.asarray(b, dtype=float)
-    t = np.arange(grid.n)
-    k = t + 1 if inclusive else t
-    return float(s @ p) + _gain_sweep(p, s, p, b, k, t + 1)
+    return float(s @ grid.as_array()) + _row_gains(grid, s, b, inclusive)
+
+
+def _pinned_rows(grid, fixed, free, inclusive):
+    """The welfare rows and the quadratic optimum, linear in one side.
+
+    With the other side's masses pinned to fixed, welfare row t is
+    G[t] @ x + const and the optimum is h @ x in the free side's masses
+    x; G comes from sweeping the free side's unit vectors. Returns
+    (G, h, const).
+    """
+    p = grid.as_array()
+    fixed = np.asarray(fixed, dtype=float)
+    unit = np.eye(grid.n)
+    h = np.maximum.outer(p, p) @ fixed
+    if free == "s":
+        return p + _row_gains(grid, unit, fixed, inclusive).T, h, 0.0
+    return _row_gains(grid, fixed, unit, inclusive).T, h, float(fixed @ p)
 
 
 def opt_quadratic(grid, s, b) -> float:
@@ -266,32 +289,6 @@ def verify_certificate(c: GridCertificate, tol: float = 1e-9) -> CertificateRepo
     )
 
 
-def _row_coeffs_free_s(grid, b, inclusive):
-    # G[t, i] multiplies s_i in welfare row t when b is held fixed.
-    p = grid.as_array()
-    n = grid.n
-    b = np.asarray(b, dtype=float)
-    tb = np.append(np.cumsum(b[::-1])[::-1], 0.0)
-    tbp = np.append(np.cumsum((b * p)[::-1])[::-1], 0.0)
-    i = np.arange(n)
-    take = i[None, :] <= i[:, None] if inclusive else i[None, :] < i[:, None]
-    return p[None, :] + take * (tbp[1:, None] - tb[1:, None] * p[None, :])
-
-
-def _row_coeffs_free_b(grid, s, inclusive):
-    # C[t, j] multiplies b_j in welfare row t when s is held fixed; the
-    # constant part sum_i s_i p_i is not included.
-    p = grid.as_array()
-    n = grid.n
-    s = np.asarray(s, dtype=float)
-    hs = np.concatenate([[0.0], np.cumsum(s)])
-    hsp = np.concatenate([[0.0], np.cumsum(s * p)])
-    k = np.arange(1, n + 1) if inclusive else np.arange(n)
-    j = np.arange(n)
-    take = j[None, :] > j[:, None]
-    return take * (p[None, :] * hs[k][:, None] - hsp[k][:, None])
-
-
 def _half_step(grid, fixed, free, role):
     """One LP over (free side, r) with the other side's masses held fixed.
 
@@ -301,23 +298,14 @@ def _half_step(grid, fixed, free, role):
     """
     p = grid.as_array()
     n = grid.n
-    inclusive = role == "upper"
-    M = np.maximum.outer(p, p)
-    if free == "s":
-        G = _row_coeffs_free_s(grid, fixed, inclusive)
-        h = M @ np.asarray(fixed, dtype=float)
-        rhs_shift = np.zeros(n)
-    else:
-        G = _row_coeffs_free_b(grid, fixed, inclusive)
-        h = M @ np.asarray(fixed, dtype=float)
-        rhs_shift = np.full(n, float(np.asarray(fixed) @ p))
+    G, h, const = _pinned_rows(grid, fixed, free, role == "upper")
     ones = np.append(np.ones(n), 0.0)
     if role == "lower":
         cons = [(ones, ">=", 1.0), (ones, "<=", 1.0 + 1.0 / p[-1])]
     else:
         cons = [(ones, "=", 1.0)]
     cons.append((np.append(h, 0.0), ">=", 1.0))
-    cons.append((np.column_stack([G, -np.ones(n)]), "<=", -rhs_shift))
+    cons.append((np.column_stack([G, -np.ones(n)]), "<=", -const))
     sol = lp_solve(lp_problem(np.append(np.zeros(n), 1.0), cons))
     if sol.status != "optimal":
         raise RuntimeError(f"half step LP came back {sol.status}")
@@ -330,25 +318,42 @@ def _alternate(grid, role, b0, rounds):
     The objective never increases: the previous half's optimum stays
     feasible for the next, so the sequence of r values is monotone and the
     loop stops once it stalls. The fixed point is a feasible certificate
-    whose r only upper-bounds the program's global minimum.
+    whose r only upper-bounds the program's global minimum. Returns
+    (s, b, r, rounds run, whether the run stalled).
     """
     b = np.asarray(b0, dtype=float)
     s, r = _half_step(grid, b, "s", role)
-    done = 0
+    done, stalled = 0, False
     for done in range(1, rounds + 1):
         b, _ = _half_step(grid, s, "b", role)
         s, r_s = _half_step(grid, b, "s", role)
-        if r - r_s < 1e-12:
-            r = r_s
-            break
+        stalled = r - r_s < 1e-12
         r = r_s
+        if stalled:
+            break
     rows = welfare_rows(grid, s, b, inclusive=(role == "upper"))
-    return s, b, float(rows.max()), done
+    return s, b, float(rows.max()), done, stalled
+
+
+def _best_alternate(grid, role, starts, rounds):
+    """Run the alternating descent from each starting buyer vector and
+    keep the lowest (r, s, b). Returns r, s, b, the rounds run over all
+    starts, and whether the kept run stalled."""
+    best = None
+    total = 0
+    for b0 in starts:
+        s, b, r, done, stalled = _alternate(grid, role, b0, rounds)
+        total += done
+        run = (r, tuple(s), tuple(b))
+        if best is None or run < best[0]:
+            best = (run, stalled)
+    (r, s, b), stalled = best
+    return r, s, b, total, stalled
 
 
 def lowerop_solve(grid: PriceGrid, mode: str = "branch_and_bound", *,
-                  node_budget: int = 200_000, gap_tol: float = 1e-4,
-                  rounds: int = 60) -> GridCertificate:
+                  node_budget: int = 200_000,
+                  gap_tol: float = 1e-4) -> GridCertificate:
     """Minimize the worst welfare row subject to the guarantee constraints.
 
     The program: mass windows sum(s), sum(b) in [1, 1 + 1/p_max], the
@@ -365,59 +370,37 @@ def lowerop_solve(grid: PriceGrid, mode: str = "branch_and_bound", *,
     """
     if grid.prices[0] != 0.0:
         raise ValueError("the lower program needs a grid starting at 0")
+    # Alternating descent stalls wherever it starts, so both modes run a
+    # few cheap deterministic starts: uniform, weighted toward low levels,
+    # and the bottom two levels. The uniform start in particular can
+    # freeze immediately on wide grids.
+    n = grid.n
+    inv = 1.0 / (1.0 + grid.as_array())
+    low2 = np.zeros(n)
+    low2[:2] = 0.5
+    starts = [np.full(n, 1.0 / n), inv / inv.sum(), low2]
     if mode == "alternating":
-        s, b, r, iters, stationary = _best_alternate(grid, rounds)
+        r, s, b, iters, stalled = _best_alternate(grid, "lower", starts, 60)
         info = SolveInfo(mode="alternating", iterations=iters,
-                         upper_bound=r, converged=stationary)
-        return GridCertificate(grid, tuple(s), tuple(b), r, "lower", info)
+                         upper_bound=r, converged=stalled)
+        return GridCertificate(grid, s, b, r, "lower", info)
     if mode != "branch_and_bound":
         raise ValueError(f"unknown mode {mode!r}")
-    return _branch_and_bound(grid, node_budget, gap_tol)
+    return _branch_and_bound(grid, starts, node_budget, gap_tol)
 
 
-def _exact_incumbent(grid, b):
-    # One honest LP in (s, r) for a pinned b: always feasible because the
-    # mass windows allow enough weight at the top level to cover the
-    # optimum constraint.
-    s, r = _half_step(grid, np.asarray(b, dtype=float), "s", "lower")
-    rows = welfare_rows(grid, s, b, inclusive=False)
-    return s, float(rows.max())
-
-
-def _best_alternate(grid, rounds):
-    # Alternating descent stalls wherever it starts, so run a few cheap
-    # deterministic starts and keep the best stationary point. The uniform
-    # start in particular can freeze immediately on wide grids.
-    p = grid.as_array()
-    n = grid.n
-    inv = 1.0 / (1.0 + p)
-    starts = [np.full(n, 1.0 / n), inv / inv.sum()]
-    if n >= 2:
-        low2 = np.zeros(n)
-        low2[0] = low2[1] = 0.5
-        starts.append(low2)
-    best = None
-    total = 0
-    for b0 in starts:
-        s, b, r, iters = _alternate(grid, "lower", b0, rounds)
-        total += iters
-        if best is None or r < best[2]:
-            best = (s, b, r, iters < rounds)
-    return best[0], best[1], best[2], total, best[3]
-
-
-def _box_rows(grid, ls, us, lb, ub):
+def _box_rows(grid, lo, hi):
     """The rows of the lower program's relaxation that depend on the box.
 
     Variables are (s, b, z, r), with z_ij standing for s_i b_j at index
-    2n + i*n + j. On the box ls <= s <= us, lb <= b <= ub, four McCormick
-    envelopes bound each z_ij through the box corners; the (lo, lo) one
-    is left out where both lower bounds are 0, since z >= 0 says as much.
-    The aggregate rows use that the z block's row i sums to s_i times the
-    total buyer mass, so the box-clamped mass window pins it from both
-    sides (and likewise per column); these cut far deeper than the
-    pairwise envelopes alone. Returns the envelope blocks and the
-    aggregate blocks, each a list of (rows, rel, rhs).
+    2n + i*n + j. The box is lo <= (s, b) <= hi, both of length 2n. Four
+    McCormick envelopes bound each z_ij through the box corners; the
+    (lo, lo) one is left out where both lower bounds are 0, since z >= 0
+    says as much. The aggregate rows use that the z block's row i sums to
+    s_i times the total buyer mass, so the box-clamped mass window pins
+    it from both sides (and likewise per column); these cut far deeper
+    than the pairwise envelopes alone. Returns the envelope blocks and
+    the aggregate blocks, each a list of (rows, rel, rhs).
     """
     n = grid.n
     cap = 1.0 + 1.0 / grid.prices[-1]
@@ -430,11 +413,11 @@ def _box_rows(grid, ls, us, lb, ub):
         return (Z - b_end[:, None] * S[pi] - s_end[:, None] * B[pj], rel,
                 -s_end * b_end)
 
-    lo_s, hi_s, lo_b, hi_b = ls[pi], us[pi], lb[pj], ub[pj]
+    lo_s, hi_s, lo_b, hi_b = lo[pi], hi[pi], lo[n + pj], hi[n + pj]
     low, rel, rhs = envelope(lo_s, lo_b, ">=")
     keep = (lo_s > 0.0) | (lo_b > 0.0)
-    s_lo, s_hi = max(1.0, float(ls.sum())), min(cap, float(us.sum()))
-    b_lo, b_hi = max(1.0, float(lb.sum())), min(cap, float(ub.sum()))
+    s_lo, s_hi = max(1.0, float(lo[:n].sum())), min(cap, float(hi[:n].sum()))
+    b_lo, b_hi = max(1.0, float(lo[n:].sum())), min(cap, float(hi[n:].sum()))
     z_rows = Z.reshape(n, n, -1).sum(axis=1)
     z_cols = Z.reshape(n, n, -1).sum(axis=0)
     return ([(low[keep], rel, rhs[keep]),
@@ -447,35 +430,37 @@ def _box_rows(grid, ls, us, lb, ub):
              (z_cols - s_lo * B, ">=", 0.0)])
 
 
-def _branch_and_bound(grid, node_budget, gap_tol):
+def _branch_and_bound(grid, starts, node_budget, gap_tol):
     p = grid.as_array()
     n = grid.n
     cap = 1.0 + 1.0 / p[-1]
     M = np.maximum.outer(p, p)
     E = np.eye(2 * n + n * n + 1)
     S, B, Z, R = E[:n], E[n:2 * n], E[2 * n:-1], E[-1]
-    pi, pj = divmod(np.arange(n * n), n)
 
     # Static rows: mass windows, the optimum constraint on the product
-    # variables, and one welfare row per level, which the price at level t
-    # collects from the pairs it clears.
-    cleared = (pi < np.arange(n)[:, None]) & (pj > np.arange(n)[:, None])
-    welfare = p @ S + (cleared * (p[pj] - p[pi])) @ Z - R
+    # variables, and one welfare row per level. Its z block is the gain
+    # each seller/buyer pair of unit masses collects at that level.
+    unit = np.eye(n)
+    pair = _row_gains(grid, unit[:, None], unit[None], False).reshape(n * n, n)
+    welfare = p @ S + pair.T @ Z - R
     static = [(S.sum(axis=0), ">=", 1.0), (S.sum(axis=0), "<=", cap),
               (B.sum(axis=0), ">=", 1.0), (B.sum(axis=0), "<=", cap),
               (M.ravel() @ Z, ">=", 1.0), (welfare, "<=", 0.0)]
 
-    def solve_box(ls, us, lb, ub, objective=R, extra=()):
+    def solve_box(lo, hi, objective=R, extra=()):
         bounds = np.column_stack([
-            np.concatenate([ls, lb, np.zeros(n * n + 1)]),
-            np.concatenate([us, ub, np.outer(us, ub).ravel(), [np.inf]])])
-        envelopes, aggregates = _box_rows(grid, ls, us, lb, ub)
+            np.concatenate([lo, np.zeros(n * n + 1)]),
+            np.concatenate([hi, np.outer(hi[:n], hi[n:]).ravel(), [np.inf]])])
+        envelopes, aggregates = _box_rows(grid, lo, hi)
         cons = static + envelopes + list(extra) + aggregates
         return lp_solve(lp_problem(objective, cons, bounds=bounds))
 
-    inc_s, inc_r = _exact_incumbent(grid, np.full(n, 1.0 / n))
-    inc_b = np.full(n, 1.0 / n)
-    s0, b0, r0, _, _ = _best_alternate(grid, 40)
+    # A zero-round descent is one honest LP in (s, r) for a pinned b:
+    # always feasible because the mass windows allow enough weight at the
+    # top level to cover the optimum constraint.
+    inc_s, inc_b, inc_r, _, _ = _alternate(grid, "lower", np.full(n, 1.0 / n), 0)
+    r0, s0, b0, _, _ = _best_alternate(grid, "lower", starts, 40)
     if r0 < inc_r:
         inc_s, inc_b, inc_r = s0, b0, r0
 
@@ -484,82 +469,60 @@ def _branch_and_bound(grid, node_budget, gap_tol):
     # survives that cut, and the coordinates that must sit near zero get
     # pinned to slivers instead of keeping the whole [0, cap] range. Each
     # probe is a full-size LP, so only small grids earn the 4n solves.
-    ls0, us0 = np.zeros(n), np.full(n, cap)
-    lb0, ub0 = np.zeros(n), np.full(n, cap)
+    lo0, hi0 = np.zeros(2 * n), np.full(2 * n, cap)
     level_cap = (R, "<=", inc_r + 1e-9)
     probes = range(2 * n) if n <= 8 else range(0)
     for k in probes:
         for sense in (1.0, -1.0):
-            sol = solve_box(ls0, us0, lb0, ub0, objective=sense * E[k],
-                            extra=(level_cap,))
+            sol = solve_box(lo0, hi0, objective=sense * E[k], extra=(level_cap,))
             if sol.status != "optimal":
                 continue
             v = float(sol.x[k])
-            tgt, idx = (("s", k) if k < n else ("b", k - n))
-            if tgt == "s":
-                if sense > 0:
-                    ls0[idx] = max(ls0[idx], min(v - 1e-9, cap))
-                else:
-                    us0[idx] = min(us0[idx], max(v + 1e-9, 0.0))
+            if sense > 0:
+                lo0[k] = max(lo0[k], min(v - 1e-9, cap))
             else:
-                if sense > 0:
-                    lb0[idx] = max(lb0[idx], min(v - 1e-9, cap))
-                else:
-                    ub0[idx] = min(ub0[idx], max(v + 1e-9, 0.0))
-    ls0, lb0 = np.maximum(ls0, 0.0), np.maximum(lb0, 0.0)
+                hi0[k] = min(hi0[k], max(v + 1e-9, 0.0))
+    lo0 = np.maximum(lo0, 0.0)
 
     weight = M + 1.0
-    box0 = (ls0, us0, lb0, ub0)
-    sol0 = solve_box(*box0)
+    sol0 = solve_box(lo0, hi0)
     if sol0.status != "optimal":
         raise RuntimeError(f"root relaxation came back {sol0.status}")
     nodes = 1
     counter = 0
-    heap = [(float(sol0.value), counter, box0, sol0.x)]
+    heap = [(float(sol0.value), counter, (lo0, hi0), sol0.x)]
     # Bounds of regions set aside without being fully resolved; they keep
     # the final lower bound honest even when exploration stops early.
     stalled = []
     while heap and nodes + 2 <= node_budget:
-        bound, _, box, x = heapq.heappop(heap)
+        bound, _, (lo, hi), x = heapq.heappop(heap)
         if bound >= inc_r - 1e-12:
             continue
         if inc_r - bound <= gap_tol:
             # Best-bound order means every remaining region is within the
             # gap too, so this is convergence, not abandonment.
-            heapq.heappush(heap, (bound, counter + 10 ** 9, box, x))
+            heapq.heappush(heap, (bound, counter + 10 ** 9, (lo, hi), x))
             break
         s_val, b_val = x[:n], x[n:2 * n]
         z_val = x[2 * n:-1].reshape(n, n)
         viol = np.abs(z_val - np.outer(s_val, b_val)) * weight
         i, j = np.unravel_index(int(np.argmax(viol)), viol.shape)
-        ls, us, lb, ub = (v.copy() for v in box)
-        if viol[i, j] <= 1e-9 or max(us[i] - ls[i], ub[j] - lb[j]) <= 1e-9:
+        width = hi - lo
+        if viol[i, j] <= 1e-9 or max(width[i], width[n + j]) <= 1e-9:
             # The relaxation is essentially exact here; harvest a true
             # feasible point and set the region aside with its bound.
-            s_fix, r_fix = _exact_incumbent(grid, np.maximum(b_val, 0.0))
-            if r_fix < inc_r:
-                inc_s, inc_b, inc_r = s_fix, np.maximum(b_val, 0.0), r_fix
+            fix = _alternate(grid, "lower", np.maximum(b_val, 0.0), 0)
+            if fix[2] < inc_r:
+                inc_s, inc_b, inc_r = fix[:3]
             stalled.append(bound)
             continue
-        if us[i] - ls[i] >= ub[j] - lb[j]:
-            lo, hi, val, side = ls[i], us[i], s_val[i], "s"
-        else:
-            lo, hi, val, side = lb[j], ub[j], b_val[j], "b"
-        w = hi - lo
-        cut = min(max(val, lo + 0.2 * w), hi - 0.2 * w)
-        for half in ("low", "high"):
-            cls, cus, clb, cub = ls.copy(), us.copy(), lb.copy(), ub.copy()
-            if side == "s":
-                if half == "low":
-                    cus[i] = cut
-                else:
-                    cls[i] = cut
-            else:
-                if half == "low":
-                    cub[j] = cut
-                else:
-                    clb[j] = cut
-            sol = solve_box(cls, cus, clb, cub)
+        # split the wider of the two coordinates, the seller's on a tie
+        k = i if width[i] >= width[n + j] else n + j
+        cut = min(max(x[k], lo[k] + 0.2 * width[k]), hi[k] - 0.2 * width[k])
+        low_hi, high_lo = hi.copy(), lo.copy()
+        low_hi[k] = high_lo[k] = cut
+        for child_box in ((lo, low_hi), (high_lo, hi)):
+            sol = solve_box(*child_box)
             nodes += 1
             if sol.status != "optimal":
                 continue
@@ -571,7 +534,7 @@ def _branch_and_bound(grid, node_budget, gap_tol):
                     inc_s, inc_b, inc_r = cs, cb, rc
             if child < inc_r - 1e-12:
                 counter += 1
-                heapq.heappush(heap, (child, counter, (cls, cus, clb, cub), sol.x))
+                heapq.heappush(heap, (child, counter, child_box, sol.x))
     lower = min([inc_r] + [h[0] for h in heap] + stalled)
     gap = inc_r - lower
     info = SolveInfo(mode="branch_and_bound", nodes=nodes,
@@ -581,38 +544,28 @@ def _branch_and_bound(grid, node_budget, gap_tol):
                            "lower", info)
 
 
-def upperop_search(grid: PriceGrid, restarts: int = 8, *, seed: int = 0,
-                   rounds: int = 40, init=None) -> GridCertificate:
+def upperop_search(grid: PriceGrid, restarts: int = 8, *,
+                   seed: int = 0) -> GridCertificate:
     """Search for a low-objective feasible point of the hardness program.
 
     The program: s and b on the probability simplex, the quadratic optimum
     at least 1, and every inclusive welfare row at most r. Any feasible
     point is a valid hardness witness, so plain alternating descent with
-    random restarts is enough; no global optimality is claimed.
+    random restarts is enough; no global optimality is claimed. The first
+    restart starts from the uniform buyer vector, restart k from a
+    Dirichlet draw seeded with seed + k.
 
     If the grid's top level is below 1 the whole grid is scaled up so the
     optimum constraint stays satisfiable; the certificate then carries the
     scaled grid (the objective is scale-free in the sense that the ratio
     statement it encodes is unchanged).
-
-    init, when given, is a (s0, b0) pair whose b0 seeds the first restart.
     """
     work = grid if grid.prices[-1] >= 1.0 else grid.scaled(1.0 / grid.prices[-1])
     n = work.n
-    best = None
-    iters_total = 0
-    for k in range(restarts):
-        if k == 0:
-            b0 = np.full(n, 1.0 / n) if init is None else np.asarray(init[1], dtype=float)
-        else:
-            b0 = np.random.default_rng(seed + k).dirichlet(np.ones(n))
-        s, b, r, iters = _alternate(work, "upper", b0, rounds)
-        iters_total += iters
-        key = (r, tuple(s), tuple(b))
-        if best is None or key < best:
-            best = key
-    r, s, b = best[0], best[1], best[2]
-    info = SolveInfo(mode="upperop_alternating", iterations=iters_total,
+    rngs = (np.random.default_rng(seed + k) for k in range(1, restarts))
+    starts = [np.full(n, 1.0 / n)] + [rng.dirichlet(np.ones(n)) for rng in rngs]
+    r, s, b, iters, _ = _best_alternate(work, "upper", starts, 40)
+    info = SolveInfo(mode="upperop_alternating", iterations=iters,
                      restarts=restarts, upper_bound=r)
     return GridCertificate(work, s, b, r, "upper", info)
 
@@ -645,7 +598,7 @@ def upperop_to_instance(c: GridCertificate) -> Instance:
 
 
 def one_sided_value(grid: PriceGrid, fixed_side: str, fixed_vector, r: float,
-                    cap: float = None):
+                    cap: float = 10.0):
     """Best guaranteed margin of a price lottery when one side is known.
 
     With, say, the buyer's mass vector pinned, the adversary picks the
@@ -665,23 +618,13 @@ def one_sided_value(grid: PriceGrid, fixed_side: str, fixed_vector, r: float,
         raise ValueError("fixed_side must be 'buyer' or 'seller'")
     if not 0.0 <= r <= 1.0:
         raise ValueError("ratio must lie in [0, 1]")
-    if cap is None:
-        cap = 10.0
     if cap <= 0:
         raise ValueError("cap must be positive")
-    p = grid.as_array()
     n = grid.n
     vec = np.asarray(fixed_vector, dtype=float)
     if vec.shape != (n,) or np.any(vec < 0) or not np.all(np.isfinite(vec)):
         raise ValueError("fixed vector must be a nonnegative vector on the grid")
-    M = np.maximum.outer(p, p)
-    h = M @ vec
-    if fixed_side == "buyer":
-        G = _row_coeffs_free_s(grid, vec, False)
-        const = 0.0
-    else:
-        G = _row_coeffs_free_b(grid, vec, False)
-        const = float(vec @ p)
+    G, h, const = _pinned_rows(grid, vec, "s" if fixed_side == "buyer" else "b", False)
     # Variables: lottery weights omega (n), then the three dual
     # multipliers of the adversary's mass constraints. The top level's row
     # takes the cap multiplier in place of the sub-top window's.
@@ -697,7 +640,7 @@ def one_sided_value(grid: PriceGrid, fixed_side: str, fixed_vector, r: float,
 
 
 def one_sided_certify(grid: PriceGrid, fixed_side: str, fixed_vector, *,
-                      cap: float = None, slack: float = 1e-9,
+                      cap: float = 10.0, slack: float = 1e-9,
                       iters: int = 60) -> float:
     """Largest ratio the one-sided value still supports, by bisection.
 
@@ -757,6 +700,9 @@ def certificate_from_json(obj) -> GridCertificate:
     missing = {"role", "prices", "s", "b", "r"} - set(obj)
     if missing:
         raise ValueError(f"certificate JSON missing {sorted(missing)}")
-    return GridCertificate(PriceGrid(tuple(obj["prices"])),
-                           tuple(obj["s"]), tuple(obj["b"]),
-                           float(obj["r"]), obj["role"])
+    try:
+        return GridCertificate(PriceGrid(tuple(obj["prices"])),
+                               tuple(obj["s"]), tuple(obj["b"]),
+                               float(obj["r"]), obj["role"])
+    except TypeError as e:
+        raise ValueError("certificate JSON fields must be numbers and lists") from e

@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from trademech.core import (
     DiscreteDistribution, Instance, Price, PriceDistribution,
-    best_fixed_price, fixed_price_welfare, instance_from_json,
+    _gain_sweep, best_fixed_price, fixed_price_welfare, instance_from_json,
     instance_to_json, just_above, just_below, opt_welfare,
     randomized_welfare, scale_instance,
 )
@@ -199,6 +200,33 @@ def test_sweep_matches_oracle_on_shared_levels_and_ties(inst):
     p, w = best_fixed_price(inst)
     assert w == pytest.approx(top, rel=1e-12)
     assert (p.level, p.tie) == next(c for c, r in zip(cand, ref) if r >= top - 1e-9)
+
+
+@st.composite
+def mass_batches(draw):
+    """Seller and buyer mass batches on shared sorted values, with batch
+    shapes that broadcast against each other, and sweep indices."""
+    n = draw(st.integers(1, 5))
+    vals = np.sort(draw(hnp.arrays(float, n, elements=st.floats(0.0, 10.0))))
+    shapes = draw(st.sampled_from([((2,), (2,)), ((3, 1), (1, 2)), ((2, 3), (3,))]))
+    sm, bm = (draw(hnp.arrays(float, sh + (n,), elements=st.floats(0.0, 1.0)))
+              for sh in shapes)
+    k, j = (draw(hnp.arrays(int, 3, elements=st.integers(0, n))) for _ in range(2))
+    return vals, sm, bm, k, j
+
+
+@given(mass_batches())
+@settings(max_examples=80, deadline=None)
+def test_batched_sweep_equals_per_vector_sweeps(case):
+    vals, sm, bm, k, j = case
+    got = _gain_sweep(vals, sm, vals, bm, k, j)
+    batch = np.broadcast_shapes(sm.shape[:-1], bm.shape[:-1])
+    assert got.shape == batch + k.shape
+    s_all = np.broadcast_to(sm, batch + sm.shape[-1:])
+    b_all = np.broadcast_to(bm, batch + bm.shape[-1:])
+    for idx in np.ndindex(*batch):
+        one = _gain_sweep(vals, s_all[idx], vals, b_all[idx], k, j)
+        assert np.array_equal(got[idx], one)
 
 
 @given(instances)
@@ -458,3 +486,8 @@ def test_json_validation_errors():
     with pytest.raises(ValueError):
         instance_from_json({"seller": [{"v": 1.0}],
                             "buyer": [{"v": 2.0, "p": 1.0}]})
+    buyer = [{"v": 2.0, "p": 1.0}]
+    for bad in ({"v": None, "p": 1.0}, {"v": 1.0, "p": [1]},
+                {"v": 1.0, "p": 1.0, "tie": None}):
+        with pytest.raises(ValueError):
+            instance_from_json({"seller": [bad], "buyer": buyer})
