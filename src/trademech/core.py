@@ -3,9 +3,8 @@
 Values live on discrete supports with an explicit tie rank in [0,1], so
 "just above v" is representable exactly as (v, 1) instead of v + epsilon.
 A price accepts a seller atom iff (value, tie) <= (level, tie) in
-lexicographic order, and a buyer atom iff >=. Continuous price rules are
-piecewise-polynomial densities, each piece a tuple of coefficients in
-ascending degree; welfare against them integrates in closed form.
+lexicographic order, and a buyer atom iff >=. A random price rule is a
+finite lottery over such prices.
 
 All welfare here comes from one prefix-sum sweep over the sorted atoms,
 `_gain_sweep`, which the grid programs share: a price accepts a prefix of
@@ -14,8 +13,7 @@ takes mass arrays with leading batch axes, so the grid programs get every
 LP coefficient block from it by sweeping one-hot mass vectors. Atomless
 prices go through `_cdf_gains`, which needs only the price CDF at each
 atom value and four prefix sums over the sellers below each buyer; the
-polynomial densities here and the mean-keyed lotteries' closed-form CDFs
-both use it.
+mean-keyed lotteries' closed-form CDFs use it.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 _MASS_TOL = 1e-12
-_PD_MASS_TOL = 1e-10
 # Prices whose welfare is equal in exact arithmetic can come out of the
 # prefix sums a few ulps apart; best_fixed_price treats them as tied.
 _TIE_RTOL = 1e-12
@@ -201,6 +198,7 @@ def scale_instance(inst: Instance, c: float) -> Instance:
         DiscreteDistribution(tuple((v * c, t, m) for v, t, m in inst.buyer.atoms)))
 
 
+# Unused in the package; the benchmark's tracer wraps it under this name.
 def poly_min_on_interval(coeffs, a, b):
     """(x*, f(x*)) minimizing f(x) = sum(coeffs[k] * x**k) over [a, b].
 
@@ -223,23 +221,15 @@ def poly_min_on_interval(coeffs, a, b):
     return float(xs[i]), float(vs[i])
 
 
-def _antiderivative(coeffs):
-    """Antiderivative of a piece, highest degree first as np.polyval takes it."""
-    return np.polyint(np.asarray(coeffs, dtype=float)[::-1])
-
-
 @dataclass(frozen=True)
 class PriceDistribution:
-    """Random price rule: point masses plus piecewise-polynomial density.
+    """Random price rule: a finite lottery over posted prices.
 
-    atoms: tuple of (Price, prob); density_pieces: tuple of ((a, b),
-    coeffs) with the density sum(coeffs[k] * x**k) on [a, b). Total mass
-    must be 1, and each piece's minimum over its endpoints and critical
-    points (poly_min_on_interval) must not fall below -1e-9.
+    atoms: tuple of (Price, prob), the probabilities finite, nonnegative
+    and summing to 1.
     """
 
-    atoms: tuple = ()
-    density_pieces: tuple = ()
+    atoms: tuple
 
     def __post_init__(self):
         total = 0.0
@@ -247,49 +237,12 @@ class PriceDistribution:
             if not 0.0 <= prob < math.inf:
                 raise ValueError("atom probability must be finite and nonnegative")
             total += prob
-        for (a, b), coeffs in self.density_pieces:
-            if not (0.0 <= a < b):
-                raise ValueError(f"bad density interval [{a}, {b})")
-            _, mn = poly_min_on_interval(coeffs, a, b)
-            if mn < -1e-9:
-                raise ValueError(f"density dips to {mn} on [{a}, {b})")
-            A = _antiderivative(coeffs)
-            total += float(np.polyval(A, b) - np.polyval(A, a))
-        if abs(total - 1.0) > _PD_MASS_TOL:
+        if abs(total - 1.0) > 1e-10:
             raise ValueError(f"price distribution mass {total} is not 1")
 
     @classmethod
     def point(cls, price: Price):
         return cls(atoms=((price, 1.0),))
-
-    @classmethod
-    def from_density(cls, pieces):
-        """pieces: iterable of ((a, b), coeffs), coeffs ascending by degree."""
-        packed = tuple(((float(a), float(b)), tuple(float(c) for c in q))
-                       for (a, b), q in pieces)
-        return cls(density_pieces=packed)
-
-    def mixed(self, other: "PriceDistribution", w: float) -> "PriceDistribution":
-        """w * self + (1-w) * other."""
-        if not 0.0 <= w <= 1.0:
-            raise ValueError("mixture weight outside [0,1]")
-        atoms = tuple((p, w * pr) for p, pr in self.atoms if w * pr > 0)
-        atoms += tuple((p, (1 - w) * pr) for p, pr in other.atoms if (1 - w) * pr > 0)
-        pieces = tuple((iv, tuple(w * c for c in q))
-                       for iv, q in self.density_pieces if w > 0)
-        pieces += tuple((iv, tuple((1 - w) * c for c in q))
-                        for iv, q in other.density_pieces if w < 1)
-        return PriceDistribution(atoms=atoms, density_pieces=pieces)
-
-    def scaled(self, c: float) -> "PriceDistribution":
-        """Push forward through p -> c*p; masses are preserved."""
-        if c <= 0:
-            raise ValueError("scale factor must be positive")
-        atoms = tuple((Price(p.level * c, p.tie), pr) for p, pr in self.atoms)
-        # new density r(y) = q(y/c)/c on [c*a, c*b)
-        pieces = tuple(((a * c, b * c), tuple(ck / c ** (k + 1) for k, ck in enumerate(q)))
-                       for (a, b), q in self.density_pieces)
-        return PriceDistribution(atoms=atoms, density_pieces=pieces)
 
 
 def _cdf_gains(inst: Instance, cdf) -> float:
@@ -310,26 +263,11 @@ def _cdf_gains(inst: Instance, cdf) -> float:
 
 
 def randomized_welfare(inst: Instance, pd: PriceDistribution) -> float:
-    """Expected welfare when the price is drawn from pd.
-
-    Atom prices contribute their fixed-price gains; the density pieces
-    contribute `_cdf_gains` under their piecewise-polynomial CDF.
-    """
-    total = inst.seller.mean()
-    if pd.atoms:
-        probs = np.array([prob for _, prob in pd.atoms])
-        prices = _keys([p.level for p, _ in pd.atoms], [p.tie for p, _ in pd.atoms])
-        total += float(probs @ _cleared(inst, prices))
-    if pd.density_pieces:
-        def cdf(x):
-            out = np.zeros(len(x))
-            for (lo, hi), q in pd.density_pieces:
-                A = _antiderivative(q)
-                out += np.polyval(A, np.clip(x, lo, hi)) - np.polyval(A, lo)
-            return out
-
-        total += _cdf_gains(inst, cdf)
-    return float(total)
+    """Expected welfare when the price is drawn from pd: E[S] plus each
+    atom price's fixed-price gains, weighted by its probability."""
+    probs = np.array([prob for _, prob in pd.atoms])
+    prices = _keys([p.level for p, _ in pd.atoms], [p.tie for p, _ in pd.atoms])
+    return inst.seller.mean() + float(probs @ _cleared(inst, prices))
 
 
 def instance_to_json(inst: Instance) -> dict:

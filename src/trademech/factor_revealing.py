@@ -372,6 +372,11 @@ def lowerop_solve(grid: PriceGrid, mode: str = "branch_and_bound", *,
     """
     if grid.prices[0] != 0.0:
         raise ValueError("the lower program needs a grid starting at 0")
+    # the negated test also rejects NaN
+    if not gap_tol >= 0.0:
+        raise ValueError("gap_tol must be nonnegative")
+    if node_budget < 1:
+        raise ValueError("node_budget must be at least 1")
     # Alternating descent stalls wherever it starts, so both modes run a
     # few cheap deterministic starts: uniform, weighted toward low levels,
     # and the bottom two levels. The uniform start in particular can
@@ -500,7 +505,7 @@ def _branch_and_bound(grid, starts, node_budget, gap_tol):
         if inc_r - bound <= gap_tol:
             # Best-bound order means every remaining region is within the
             # gap too, so this is convergence, not abandonment.
-            heapq.heappush(heap, (bound, counter + 10 ** 9, (lo, hi), x))
+            stalled.append(bound)
             break
         s_val, b_val = x[:n], x[n:2 * n]
         z_val = x[2 * n:-1].reshape(n, n)
@@ -620,6 +625,8 @@ def _one_sided_lp(grid, fixed_side, fixed_vector):
     vec = np.asarray(fixed_vector, dtype=float)
     if vec.shape != (n,) or np.any(vec < 0) or not np.all(np.isfinite(vec)):
         raise ValueError("fixed vector must be a nonnegative vector on the grid")
+    if vec.sum() < 1.0 - 1e-9:
+        raise ValueError("fixed vector must carry mass at least 1")
     G, h, const = _pinned_rows(grid, vec, "s" if fixed_side == "buyer" else "b", False)
     # the top level's row takes the cap multiplier in place of the sub-top window's
     duals = np.tile([-1.0, 1.0, 0.0], (n, 1))
@@ -674,6 +681,8 @@ def convergence_bracket(base_grid_step: float, range_cap: float, *,
     the alternating search finds on the full grid. Both sides bound the
     same quantity, so lower <= upper always.
     """
+    if not (np.isfinite(base_grid_step) and np.isfinite(range_cap)):
+        raise ValueError("grid step and range cap must be finite")
     if base_grid_step <= 0:
         raise ValueError("grid step must be positive")
     if range_cap <= base_grid_step:

@@ -331,127 +331,29 @@ def test_point_price_distribution_equals_fixed():
             fixed_price_welfare(inst, Price(level)), abs=1e-14)
 
 
-def test_uniform_density_welfare():
-    inst = Instance.from_values([(1.0, 1.0)], [(2.0, 1.0)])
-    pd = PriceDistribution.from_density([((0.0, 3.0), (1.0 / 3.0,))])
-    assert randomized_welfare(inst, pd) == pytest.approx(4.0 / 3.0, abs=1e-12)
-
-
-def test_uniform_density_no_trade():
-    inst = Instance.from_values([(1.0, 1.0)], [(0.5, 1.0)])
-    pd = PriceDistribution.from_density([((0.0, 3.0), (1.0 / 3.0,))])
-    assert randomized_welfare(inst, pd) == pytest.approx(1.0, abs=1e-14)
-
-
 def test_price_distribution_mass_checked():
-    with pytest.raises(ValueError):
-        PriceDistribution.from_density([((0.0, 1.0), (0.5,))])
     with pytest.raises(ValueError):
         PriceDistribution(atoms=((Price(1.0), 0.7),))
 
 
-def test_price_distribution_negativity_rejected():
-    # x - 0.25 is negative on [0, 0.25): mass can be fixed up by an atom
-    with pytest.raises(ValueError):
-        PriceDistribution(
-            atoms=((Price(5.0), 1.0 - 0.375),),
-            density_pieces=(((0.0, 1.0), (-0.25, 1.0)),))
-
-
-def test_mixture_linearity():
-    inst = Instance.from_values([(0.0, 0.4), (1.5, 0.6)],
-                                [(1.0, 0.7), (3.0, 0.3)])
-    a = PriceDistribution.point(Price(0.5))
-    b = PriceDistribution.from_density([((0.0, 3.0), (1.0 / 3.0,))])
-    for w in (0.0, 0.3, 1.0):
-        mixed = a.mixed(b, w)
-        want = w * randomized_welfare(inst, a) + (1 - w) * randomized_welfare(inst, b)
-        assert randomized_welfare(inst, mixed) == pytest.approx(want, abs=1e-12)
-
-
-def test_scaled_price_distribution_tracks_scaled_instance():
-    inst = Instance.from_values([(0.0, 0.4), (1.5, 0.6)],
-                                [(1.0, 0.7), (3.0, 0.3)])
-    pd = PriceDistribution(
-        atoms=((Price(1.0), 0.25),),
-        density_pieces=(((0.0, 3.0), (0.25,)),))
-    for c in (0.5, 2.0, 7.3):
-        w = randomized_welfare(inst, pd)
-        ws = randomized_welfare(scale_instance(inst, c), pd.scaled(c))
-        assert ws == pytest.approx(c * w, rel=1e-12)
-
-
-def test_monte_carlo_cross_check_density_welfare():
-    # independent randomized check of the closed-form integration
-    inst = Instance.from_values([(0.2, 0.3), (1.1, 0.7)],
-                                [(0.9, 0.5), (2.5, 0.5)])
-    # masses: 0.25 uniform on [0,1), 0.75 under 0.5*x on [1,2)
-    pd = PriceDistribution.from_density(
-        [((0.0, 1.0), (0.25,)), ((1.0, 2.0), (0.0, 0.5))])
-    rng = np.random.default_rng(11)
-    n = 400_000
-    u = rng.random(n)
-    # sample: w.p. .25 uniform [0,1], else density x*(3/8)... use inverse cdf
-    mass1 = 0.25
-    ps = np.where(u < mass1,
-                  rng.random(n),
-                  np.sqrt(rng.random(n) * 3.0 + 1.0))
-    sel = rng.random(n)
-    sv = np.where(sel < 0.3, 0.2, 1.1)
-    buy = rng.random(n)
-    bv = np.where(buy < 0.5, 0.9, 2.5)
-    trade = (sv <= ps) & (ps <= bv)
-    mc = sv.mean() + (trade * (bv - sv)).mean()
-    exact = randomized_welfare(inst, pd)
-    assert exact == pytest.approx(mc, abs=5e-3)
-
-
-def piece_integral(coeffs, lo, hi):
-    """Integral of sum(coeffs[k] * x**k) over [lo, hi], term by term."""
-    return sum(c * (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
-               for k, c in enumerate(coeffs))
-
-
 def oracle_randomized(inst, pd):
-    """Atom prices through oracle_fixed; density pieces pair by pair."""
+    """Each atom price through oracle_fixed, weighted by its probability."""
     es = sum(v * m for v, _, m in inst.seller.atoms)
-    total = es + sum(prob * (oracle_fixed(inst, p.level, p.tie) - es)
-                     for p, prob in pd.atoms)
-    for sv, _, sm in inst.seller.atoms:
-        for bv, _, bm in inst.buyer.atoms:
-            if bv <= sv:
-                continue
-            pr = 0.0
-            for (a, b), q in pd.density_pieces:
-                lo = min(max(sv, a), b)
-                hi = min(max(bv, a), b)
-                if hi > lo:
-                    pr += piece_integral(q, lo, hi)
-            total += sm * bm * (bv - sv) * pr
-    return total
+    return es + sum(prob * (oracle_fixed(inst, p.level, p.tie) - es)
+                    for p, prob in pd.atoms)
 
 
 def price_distributions():
-    """Atoms at lattice or midpoint levels plus a density whose pieces
-    start and end on the lattice; nonnegative coefficients keep every
-    piece nonnegative on [0, inf)."""
+    """One to four atoms at lattice or midpoint levels, every tie rank."""
     atoms = st.lists(st.tuples(st.integers(0, 17), st.sampled_from([0.0, 0.5, 1.0]),
-                               st.integers(1, 9)), max_size=3)
-    ends = st.sets(st.integers(0, 10), min_size=2, max_size=5)
-    coeffs = st.lists(st.integers(0, 4), min_size=1, max_size=3)
+                               st.integers(1, 9)), min_size=1, max_size=4)
 
-    def build(drawn):
-        atom_list, cuts, polys = drawn
-        cuts = sorted(cuts)
-        pieces = [((a * LATTICE, b * LATTICE), tuple(c) if any(c) else (1,))
-                  for (a, b), c in zip(zip(cuts, cuts[1:]), polys)]
-        mass = sum(w for _, _, w in atom_list) + sum(piece_integral(q, a, b)
-                                                       for (a, b), q in pieces)
+    def build(atom_list):
+        mass = sum(w for _, _, w in atom_list)
         return PriceDistribution(
-            atoms=tuple((Price(i * LATTICE / 2, t), w / mass) for i, t, w in atom_list),
-            density_pieces=tuple((iv, tuple(c / mass for c in q)) for iv, q in pieces))
+            atoms=tuple((Price(i * LATTICE / 2, t), w / mass) for i, t, w in atom_list))
 
-    return st.tuples(atoms, ends, st.lists(coeffs, min_size=4, max_size=4)).map(build)
+    return atoms.map(build)
 
 
 @given(tie_instances, price_distributions())

@@ -7,6 +7,7 @@ produced by the named oracle function at the stated arguments.
 """
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -244,6 +245,15 @@ def test_lowerop_needs_zero_anchor():
         lowerop_solve(PriceGrid((0.5, 1.0)))
     with pytest.raises(ValueError):
         lowerop_solve(PriceGrid((0.0, 1.0)), "annealing")
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"gap_tol": -1.0}, {"gap_tol": float("nan")},
+    {"node_budget": 0}, {"node_budget": -5},
+], ids=["gap_negative", "gap_nan", "budget_zero", "budget_negative"])
+def test_lowerop_rejects_bad_stopping_rules(kwargs):
+    with pytest.raises(ValueError):
+        lowerop_solve(PriceGrid((0.0, 0.3, 1000.0)), "branch_and_bound", **kwargs)
 
 
 def test_lowerop_two_levels_hits_zero():
@@ -489,6 +499,12 @@ def test_one_sided_input_validation():
         one_sided_value(g, "buyer", (0.0, -1.0), 0.5)
     with pytest.raises(ValueError):
         one_sided_value(g, "buyer", (0.0, 1.0, 0.0), 0.5)
+    # a pinned vector with too little mass certifies nothing
+    g3 = PriceGrid((0.0, 0.5, 1.0))
+    for side in ("buyer", "seller"):
+        for vec in ((0.0, 0.0, 0.0), (0.0, 0.0, 1e-300), (0.0, 0.5, 0.4)):
+            with pytest.raises(ValueError):
+                one_sided_certify(g3, side, vec)
 
 
 def test_one_sided_certify_brackets_the_flip():
@@ -573,6 +589,9 @@ def test_bracket_validates_arguments():
         convergence_bracket(0.0, 2.0)
     with pytest.raises(ValueError):
         convergence_bracket(0.5, 0.5)
+    for args in ((0.1, math.inf), (math.inf, 2.0), (math.nan, 2.0), (0.1, math.nan)):
+        with pytest.raises(ValueError):
+            convergence_bracket(*args)
 
 
 def test_certificate_json_round_trip():
