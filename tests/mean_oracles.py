@@ -185,3 +185,68 @@ def case_objective(side, x, p, y):
         if cond(x, p, y, z):
             return formula(x, p, y)
     return None
+
+
+def unit_cdf_array(side, v):
+    """Either lottery's unit cdf on an array, piece by piece."""
+    v = np.asarray(v, dtype=float)
+    if side == SELLER:
+        return np.clip(v / 3.0, 0.0, 1.0)
+    low = np.clip(v, 0.0, 0.5)
+    out = np.where(v < 2.0, (v + 1.0) / 3.0, 1.0)
+    out = np.where(v <= 2.0 / 3.0, (4.0 * v - 1.0) / 3.0, out)
+    out = np.where(v <= 0.5, low / (3.0 - 3.0 * low), out)
+    return np.where(v <= 0.0, 0.0, out)
+
+
+def objective_direct(side, x, p, y):
+    """The family objective as E[welfare] - (2/3) E[max], both sides'
+    expectations taken over the two atoms, on broadcast arrays."""
+    z = (1.0 - x * p) / (1.0 - p)
+    fy = unit_cdf_array(side, y)
+    if side == SELLER:
+        alg = 1.0 + (p * np.maximum(y - x, 0.0) * (fy - unit_cdf_array(side, x))
+                     + (1.0 - p) * np.maximum(y - z, 0.0)
+                     * (fy - unit_cdf_array(side, z)))
+    else:
+        alg = y + (p * np.maximum(x - y, 0.0) * (unit_cdf_array(side, x) - fy)
+                   + (1.0 - p) * np.maximum(z - y, 0.0)
+                   * (unit_cdf_array(side, z) - fy))
+    opt = p * np.maximum(x, y) + (1.0 - p) * np.maximum(z, y)
+    return alg - (2.0 / 3.0) * opt
+
+
+def brute_force_scan_minimum(side, step):
+    """Minimum of the two-thirds scan, evaluated the long way.
+
+    The same grid, 1e-4 flag threshold and 21-point half-step rescan as
+    the library's scan, but every flagged point rescans its full clipped
+    21^3 neighborhood, repeated face points included, through
+    `objective_direct`.
+    """
+    x_grid = np.clip(np.arange(0.0, 1.0 + 0.5 * step, step), 0.0, 1.0)
+    p_grid = np.arange(0.0, 1.0, step)
+    cap = 3.0 if side == SELLER else 2.0
+    y_grid = np.append(np.arange(0.0, cap + 0.5 * step, step), cap + 1.0)
+    obj = objective_direct(side, x_grid[:, None, None], p_grid[None, :, None],
+                           y_grid[None, None, :])
+    best = float(obj.min())
+    i, j, l = np.nonzero(obj <= 1e-4)
+    flagged = np.column_stack([x_grid[i], p_grid[j], y_grid[l]])
+    return float(min([best, *neighborhood_minima(side, flagged, step)]))
+
+
+def neighborhood_minima(side, pts, step):
+    """Per (x, p, y) row of pts, the minimum of `objective_direct` over
+    its full clipped 21^3 half-step neighborhood."""
+    offsets = np.linspace(-0.5, 0.5, 21) * step
+    xs = np.clip(pts[:, 0, None] + offsets, 0.0, 1.0)
+    ps = np.clip(pts[:, 1, None] + offsets, 0.0, 1.0 - 1e-9)
+    ys = np.maximum(pts[:, 2, None] + offsets, 0.0)
+    minima = []
+    for lo in range(0, len(pts), 50):
+        cut = slice(lo, lo + 50)
+        near = objective_direct(side, xs[cut, :, None, None],
+                                ps[cut, None, :, None], ys[cut, None, None, :])
+        minima.append(near.min(axis=(1, 2, 3)))
+    return np.concatenate(minima) if minima else np.empty(0)

@@ -12,9 +12,9 @@ import mean_oracles as mo
 from trademech.core import (DiscreteDistribution, Instance, opt_welfare,
                             scale_instance)
 from trademech.mean_mech import (BUYER_MEAN, SELLER_MEAN, MeanMechanism,
-                                 family_objective, mean_mech_price_cdf,
-                                 mean_mech_welfare, two_thirds_hardness,
-                                 verify_two_thirds)
+                                 _local_minimum, family_objective,
+                                 mean_mech_price_cdf, mean_mech_welfare,
+                                 two_thirds_hardness, verify_two_thirds)
 
 SIDES = (SELLER_MEAN, BUYER_MEAN)
 
@@ -48,6 +48,15 @@ def test_price_cdf_anchors():
     assert mean_mech_price_cdf(ms, 1.5) == pytest.approx(0.5, abs=1e-15)
     assert mean_mech_price_cdf(ms, 3.0) == 1.0
     assert mean_mech_price_cdf(ms, 7.0) == 1.0
+
+
+def test_price_cdf_nan_rejected_infinities_kept():
+    for side in SIDES:
+        m = MeanMechanism(side, 1.0)
+        with pytest.raises(ValueError):
+            mean_mech_price_cdf(m, float("nan"))
+        assert mean_mech_price_cdf(m, float("-inf")) == 0.0
+        assert mean_mech_price_cdf(m, float("inf")) == 1.0
 
 
 def test_price_cdf_continuity_at_breakpoints():
@@ -228,6 +237,43 @@ def test_objective_matches_case_table():
     assert min(hits.values()) > 3000
 
 
+def test_objective_rejects_bad_p_and_nan():
+    nan = float("nan")
+    for side in SIDES:
+        for p in (1.0, 1.5, -1e-12, nan, np.array([0.2, 1.0])):
+            with pytest.raises(ValueError):
+                family_objective(side, 0.5, p, 1.0)
+        for x, y in ((nan, 1.0), (0.5, nan), (np.array([0.1, nan]), 1.0)):
+            with pytest.raises(ValueError):
+                family_objective(side, x, 0.3, y)
+        assert np.isfinite(family_objective(side, 0.5, 0.0, 1.0))
+
+
+def test_objective_at_extremes():
+    """p next to 1 puts z near 1e9, where the reduced form leans on
+    p*x + q*z = 1; y past the support leaves no price between the
+    sides. Both regimes agree with quadrature and the case table."""
+    seller_pts = ([(x, 1.0 - 1e-9, y) for x in (0.0, 0.3, 0.7, 1.0)
+                   for y in (0.2, 0.5, 2.5, 3.5, 7.0)]
+                  + [(x, p, y) for x in (0.0, 0.6, 1.0) for p in (0.0, 0.4)
+                     for y in (3.5, 7.0)])
+    buyer_pts = ([(x, 1.0 - 1e-9, y) for x in (0.0, 0.3, 0.6, 0.9)
+                  for y in (0.0, 0.1, 0.25, 1.5, 2.5, 4.0)]
+                 + [(x, p, y) for x in (0.0, 0.6, 1.0) for p in (0.0, 0.4)
+                    for y in (2.5, 4.0)])
+    for side, pts in ((SELLER_MEAN, seller_pts), (BUYER_MEAN, buyer_pts)):
+        on_table = 0
+        for x, p, y in pts:
+            got = float(family_objective(side, x, p, y))
+            assert got == pytest.approx(mo.objective_quad(side, x, p, y),
+                                        abs=1e-9), (side, x, p, y)
+            ref = mo.case_objective(side, x, p, y)
+            if ref is not None:
+                assert got == pytest.approx(ref, abs=1e-9), (side, x, p, y)
+                on_table += 1
+        assert on_table >= 10, side
+
+
 def test_objective_matches_quadrature():
     rng = np.random.default_rng(17)
     for side in SIDES:
@@ -248,6 +294,40 @@ def test_verify_certifies_guarantee_on_coarse_grid():
         x, p, y = arg
         assert float(family_objective(side, x, p, y)) == \
             pytest.approx(mn, abs=1e-12)
+
+
+@pytest.mark.parametrize("side", SIDES)
+@pytest.mark.parametrize("step", (0.1, 0.05, 0.03))
+def test_verify_matches_brute_force_rescan(side, step):
+    """Removing repeated clipped points and reducing the objective
+    leaves the scan's minimum where the full-neighborhood rescan puts
+    it; step 0.03 does not divide 1, so its clipping is partial."""
+    mn, (x, p, y) = verify_two_thirds(side, step=step)
+    assert mn == pytest.approx(mo.brute_force_scan_minimum(side, step),
+                               abs=1e-12)
+    assert mo.case_objective(side, x, p, y) == pytest.approx(mn, abs=1e-12)
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_rescan_matches_full_neighborhoods_on_faces(side):
+    """Point by point, the rescan of distinct clipped coordinates finds
+    the minimum of the full clipped neighborhood. The points sit on the
+    clipped faces (x = 0 or 1, p = 0 or within a half step of 1, y = 0)
+    and off them, and their neighborhood minima are mostly unique, so a
+    face coordinate dropped or repeated by mistake shows."""
+    rng = np.random.default_rng(23)
+    step = 0.03
+    cap = 3.0 if side == SELLER_MEAN else 2.0
+    pts = np.column_stack([
+        rng.choice([0.0, 1.0, 0.01, 0.5, 0.99], 60),
+        rng.choice([0.0, 0.005, 0.4, 0.99, 1.0 - 1e-9], 60),
+        rng.choice([0.0, 0.004, 0.3, 1.1, cap, cap + 1.0], 60)])
+    ref = mo.neighborhood_minima(side, pts, step)
+    for pt, want in zip(pts, ref):
+        got, (x, p, y) = _local_minimum(side, pt[None], step, np.inf, None)
+        assert got == pytest.approx(want, abs=1e-12), pt
+        assert float(mo.objective_direct(side, x, p, y)) == \
+            pytest.approx(got, abs=1e-12), pt
 
 
 def test_verify_min_nonincreasing_under_refinement():
