@@ -217,7 +217,7 @@ class CertificateReport:
     """Feasibility report with one slack per constraint.
 
     Every slack is oriented so that nonnegative means satisfied with
-    margin; feasible is simply worst_slack >= -tol. tight_index is the
+    margin; feasible is simply worst_slack >= -1e-9. tight_index is the
     0-based row whose welfare expression attains the maximum.
     """
 
@@ -247,7 +247,7 @@ class CertificateReport:
         }
 
 
-def verify_certificate(c: GridCertificate, tol: float = 1e-9) -> CertificateReport:
+def verify_certificate(c: GridCertificate) -> CertificateReport:
     """Check every constraint of the certificate's role and report slacks.
 
     Infeasibility is a report, not an error. Also reports whether r equals
@@ -278,10 +278,10 @@ def verify_certificate(c: GridCertificate, tol: float = 1e-9) -> CertificateRepo
     worst = min(min(mass.values()), float(row_slacks.min()))
     tight = int(np.argmax(rows))
     return CertificateReport(
-        feasible=bool(worst >= -tol),
+        feasible=bool(worst >= -1e-9),
         role=c.role,
         r=c.r,
-        r_tight=bool(abs(c.r - float(rows[tight])) <= tol),
+        r_tight=bool(abs(c.r - float(rows[tight])) <= 1e-9),
         tight_index=tight,
         opt_value=opt,
         rows=tuple(float(w) for w in rows),
@@ -366,9 +366,10 @@ def lowerop_solve(grid: PriceGrid, mode: str = "branch_and_bound", *,
     alternating mode fixes one side and solves the LP in the other,
     back and forth to a stationary point; its r only upper-bounds the
     global minimum, so info.lower_bound stays None. branch_and_bound mode
-    relaxes the bilinear products with envelope inequalities, branches on
-    the worst violation, and reports a proven bound pair even when the
-    node budget runs out.
+    relaxes the bilinear products with envelope inequalities over a box of
+    buyer masses, splits only the buyer side, takes each incumbent from the
+    seller half-step at a node's buyer vector, and reports a proven bound
+    pair even when the node budget runs out.
     """
     if grid.prices[0] != 0.0:
         raise ValueError("the lower program needs a grid starting at 0")
@@ -400,14 +401,15 @@ def _box_rows(grid, lo, hi):
     """The rows of the lower program's relaxation that depend on the box.
 
     Variables are (s, b, z, r), with z_ij standing for s_i b_j at index
-    2n + i*n + j. The box is lo <= (s, b) <= hi, both of length 2n. Four
-    McCormick envelopes bound each z_ij through the box corners; the
-    (lo, lo) one is left out where both lower bounds are 0, since z >= 0
-    says as much. The aggregate rows use that the z block's row i sums to
-    s_i times the total buyer mass, so the box-clamped mass window pins
-    it from both sides (and likewise per column); these cut far deeper
-    than the pairwise envelopes alone. Returns the envelope blocks and
-    the aggregate blocks, each a list of (rows, rel, rhs).
+    2n + i*n + j. The box is the buyer box lo <= b <= hi, both of length
+    n; every s_i keeps its root range [0, cap]. Four McCormick envelopes
+    bound each z_ij through the corners (0, lo_j), (cap, hi_j), (cap, lo_j)
+    and (0, hi_j), leaving out the first where lo_j = 0 since z >= 0 says
+    as much; a point interval for b_j makes them exact. The aggregates
+    pin the z block's row i between s_i times the box-clamped buyer mass
+    window, and its column j between b_j and cap * b_j; these cut far
+    deeper than the envelopes alone. Returns the envelope blocks and the
+    aggregate blocks, each a list of (rows, rel, rhs).
     """
     n = grid.n
     cap = 1.0 + 1.0 / grid.prices[-1]
@@ -417,27 +419,29 @@ def _box_rows(grid, lo, hi):
 
     def envelope(s_end, b_end, rel):
         # z_ij against the plane through the corner (s_end, b_end)
-        return (Z - b_end[:, None] * S[pi] - s_end[:, None] * B[pj], rel,
-                -s_end * b_end)
+        return (Z - b_end[:, None] * S[pi] - s_end * B[pj], rel, -s_end * b_end)
 
-    lo_s, hi_s, lo_b, hi_b = lo[pi], hi[pi], lo[n + pj], hi[n + pj]
-    low, rel, rhs = envelope(lo_s, lo_b, ">=")
-    keep = (lo_s > 0.0) | (lo_b > 0.0)
-    s_lo, s_hi = max(1.0, float(lo[:n].sum())), min(cap, float(hi[:n].sum()))
-    b_lo, b_hi = max(1.0, float(lo[n:].sum())), min(cap, float(hi[n:].sum()))
+    lo_b, hi_b = lo[pj], hi[pj]
+    low, rel, rhs = envelope(0.0, lo_b, ">=")
+    keep = lo_b > 0.0
+    b_lo, b_hi = max(1.0, float(lo.sum())), min(cap, float(hi.sum()))
     z_rows = Z.reshape(n, n, -1).sum(axis=1)
     z_cols = Z.reshape(n, n, -1).sum(axis=0)
     return ([(low[keep], rel, rhs[keep]),
-             envelope(hi_s, hi_b, ">="),
-             envelope(hi_s, lo_b, "<="),
-             envelope(lo_s, hi_b, "<=")],
+             envelope(cap, hi_b, ">="),
+             envelope(cap, lo_b, "<="),
+             envelope(0.0, hi_b, "<=")],
             [(z_rows - b_hi * S, "<=", 0.0),
              (z_rows - b_lo * S, ">=", 0.0),
-             (z_cols - s_hi * B, "<=", 0.0),
-             (z_cols - s_lo * B, ">=", 0.0)])
+             (z_cols - cap * B, "<=", 0.0),
+             (z_cols - B, ">=", 0.0)])
 
 
 def _branch_and_bound(grid, starts, node_budget, gap_tol):
+    """Best-first branch-and-bound on the McCormick relaxation over boxes
+    of buyer masses. Each popped node that survives pruning offers one
+    incumbent, the seller half-step at its b, and then splits b_j for the
+    worst weighted product violation (i, j); the leaves tile the b box."""
     p = grid.as_array()
     n = grid.n
     cap = 1.0 + 1.0 / p[-1]
@@ -455,46 +459,26 @@ def _branch_and_bound(grid, starts, node_budget, gap_tol):
               (B.sum(axis=0), ">=", 1.0), (B.sum(axis=0), "<=", cap),
               (M.ravel() @ Z, ">=", 1.0), (welfare, "<=", 0.0)]
 
-    def solve_box(lo, hi, objective=R, extra=()):
+    def solve_box(lo, hi):
         bounds = np.column_stack([
-            np.concatenate([lo, np.zeros(n * n + 1)]),
-            np.concatenate([hi, np.outer(hi[:n], hi[n:]).ravel(), [np.inf]])])
+            np.concatenate([np.zeros(n), lo, np.zeros(n * n + 1)]),
+            np.concatenate([np.full(n, cap), hi, np.tile(cap * hi, n), [np.inf]])])
         envelopes, aggregates = _box_rows(grid, lo, hi)
-        cons = static + envelopes + list(extra) + aggregates
-        return lp_solve(lp_problem(objective, cons, bounds=bounds))
+        return lp_solve(lp_problem(R, static + envelopes + aggregates, bounds=bounds))
 
     # Each half-step is an honest LP, always feasible because the mass
     # windows allow enough weight at the top level to cover the optimum
     # constraint, so the best descent is a true incumbent.
     inc_r, inc_s, inc_b, _, _ = _best_alternate(grid, "lower", starts, 40)
 
-    # Root box tightening: push each mass coordinate to its extremes over
-    # the relaxation cut down to the incumbent's level set. Every optimum
-    # survives that cut, and the coordinates that must sit near zero get
-    # pinned to slivers instead of keeping the whole [0, cap] range. Each
-    # probe is a full-size LP, so only small grids earn the 4n solves.
-    lo0, hi0 = np.zeros(2 * n), np.full(2 * n, cap)
-    level_cap = (R, "<=", inc_r + 1e-9)
-    probes = range(2 * n) if n <= 8 else range(0)
-    for k in probes:
-        for sense in (1.0, -1.0):
-            sol = solve_box(lo0, hi0, objective=sense * E[k], extra=(level_cap,))
-            if sol.status != "optimal":
-                continue
-            v = float(sol.x[k])
-            if sense > 0:
-                lo0[k] = max(lo0[k], min(v - 1e-9, cap))
-            else:
-                hi0[k] = min(hi0[k], max(v + 1e-9, 0.0))
-    lo0 = np.maximum(lo0, 0.0)
-
     weight = M + 1.0
-    sol0 = solve_box(lo0, hi0)
+    box0 = (np.zeros(n), np.full(n, cap))
+    sol0 = solve_box(*box0)
     if sol0.status != "optimal":
         raise RuntimeError(f"root relaxation came back {sol0.status}")
     nodes = 1
     counter = 0
-    heap = [(float(sol0.value), counter, (lo0, hi0), sol0.x)]
+    heap = [(float(sol0.value), counter, box0, sol0.x)]
     # Bounds of regions set aside without being fully resolved; they keep
     # the final lower bound honest even when exploration stops early.
     stalled = []
@@ -502,43 +486,33 @@ def _branch_and_bound(grid, starts, node_budget, gap_tol):
         bound, _, (lo, hi), x = heapq.heappop(heap)
         if bound >= inc_r - 1e-12:
             continue
+        s_val, b_val = x[:n], x[n:2 * n]
+        fix = _alternate(grid, "lower", np.maximum(b_val, 0.0), 0)
+        if fix[2] < inc_r:
+            inc_s, inc_b, inc_r = fix[:3]
         if inc_r - bound <= gap_tol:
             # Best-bound order means every remaining region is within the
             # gap too, so this is convergence, not abandonment.
             stalled.append(bound)
             break
-        s_val, b_val = x[:n], x[n:2 * n]
         z_val = x[2 * n:-1].reshape(n, n)
         viol = np.abs(z_val - np.outer(s_val, b_val)) * weight
         i, j = np.unravel_index(int(np.argmax(viol)), viol.shape)
-        width = hi - lo
-        if viol[i, j] <= 1e-9 or max(width[i], width[n + j]) <= 1e-9:
-            # The relaxation is essentially exact here; harvest a true
-            # feasible point and set the region aside with its bound.
-            fix = _alternate(grid, "lower", np.maximum(b_val, 0.0), 0)
-            if fix[2] < inc_r:
-                inc_s, inc_b, inc_r = fix[:3]
+        width = hi[j] - lo[j]
+        if viol[i, j] <= 1e-9 or width <= 1e-9:
+            # The relaxation is essentially exact here: set the region
+            # aside with its bound.
             stalled.append(bound)
             continue
-        # split the wider of the two coordinates, the seller's on a tie
-        k = i if width[i] >= width[n + j] else n + j
-        cut = min(max(x[k], lo[k] + 0.2 * width[k]), hi[k] - 0.2 * width[k])
+        cut = min(max(b_val[j], lo[j] + 0.2 * width), hi[j] - 0.2 * width)
         low_hi, high_lo = hi.copy(), lo.copy()
-        low_hi[k] = high_lo[k] = cut
+        low_hi[j] = high_lo[j] = cut
         for child_box in ((lo, low_hi), (high_lo, hi)):
             sol = solve_box(*child_box)
             nodes += 1
-            if sol.status != "optimal":
-                continue
-            child = float(sol.value)
-            cs, cb = sol.x[:n], sol.x[n:2 * n]
-            if opt_quadratic(grid, cs, cb) >= 1.0 - 1e-9:
-                rc = float(welfare_rows(grid, cs, cb, inclusive=False).max())
-                if rc < inc_r:
-                    inc_s, inc_b, inc_r = cs, cb, rc
-            if child < inc_r - 1e-12:
+            if sol.status == "optimal" and sol.value < inc_r - 1e-12:
                 counter += 1
-                heapq.heappush(heap, (child, counter, child_box, sol.x))
+                heapq.heappush(heap, (float(sol.value), counter, child_box, sol.x))
     lower = min([inc_r] + [h[0] for h in heap] + stalled)
     gap = inc_r - lower
     info = SolveInfo(mode="branch_and_bound", nodes=nodes,

@@ -304,25 +304,37 @@ def test_lowerop_bounds_a_25_level_grid():
     assert verify_certificate(cert).feasible
 
 
+@pytest.mark.parametrize("prices", [
+    (0.0, 0.777, 0.813, 0.904, 1000.0), (0.0, 0.2, 0.5, 1.5, 4.0),
+])
+def test_lowerop_converges_to_a_feasible_certificate(prices):
+    """Incumbents come from the seller half-step, never from a relaxation
+    point, so a mass a rounding error below zero cannot reach the
+    certificate; these grids once crashed or stalled on that."""
+    cert = lowerop_solve(PriceGrid(prices))
+    assert cert.info.converged
+    assert cert.info.lower_bound <= cert.r
+    assert verify_certificate(cert).feasible
+
+
 @pytest.mark.parametrize("prices", [(0.0, 0.5, 1000.0), (0.0, 0.3, 0.7, 2.0)])
 def test_box_rows_contain_every_true_point(prices):
-    """Every point of the program inside a box, with z = s b^T, satisfies
-    every envelope and aggregate row built for that box, so no branch
-    cuts off a true point."""
+    """Every point of the program inside a buyer box, with s anywhere in
+    its window and z = s b^T, satisfies every envelope and aggregate row
+    built for that box, so no branch cuts off a true point."""
     grid = PriceGrid(prices)
     n = grid.n
     cap = 1.0 + 1.0 / prices[-1]
     rng = np.random.default_rng(41)
     for _ in range(200):
-        # a point in the mass windows, then a random box around it, with
-        # about a third of the lower bounds at 0
+        # a point in the mass windows, then a random buyer box around b,
+        # with about a third of the lower bounds at 0
         s, b = (rng.dirichlet(np.ones(n)) * rng.uniform(1.0, cap) for _ in range(2))
-        ls, lb = (v * rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.7) for v in (s, b))
-        us, ub = (v + rng.uniform(0.0, 0.5, n) * (rng.random(n) < 0.7) for v in (s, b))
-        envelopes, aggregates = _box_rows(grid, np.concatenate([ls, lb]),
-                                          np.concatenate([us, ub]))
+        lb = b * rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.7)
+        ub = b + rng.uniform(0.0, 0.5, n) * (rng.random(n) < 0.7)
+        envelopes, aggregates = _box_rows(grid, lb, ub)
         blocks = envelopes + aggregates
-        lows = int(np.sum((ls[:, None] > 0.0) | (lb[None, :] > 0.0)))
+        lows = n * int(np.sum(lb > 0.0))
         assert sum(len(np.atleast_2d(rows)) for rows, _, _ in blocks) == lows + 3 * n * n + 4 * n
         x = np.concatenate([s, b, np.outer(s, b).ravel(), [0.0]])
         for rows, rel, rhs in blocks:
@@ -627,4 +639,12 @@ def test_reference_grid_desk_scale_bracket():
     info = cert.info
     assert not info.converged
     assert info.lower_bound <= 0.72 + 1e-6 <= cert.r + 2e-2
+    assert verify_certificate(cert).feasible
+
+
+def test_reference_grid_bound_after_100_nodes():
+    """Buyer-only branching lifts the sixteen-level bound past 0.55 within
+    a hundred nodes."""
+    cert = lowerop_solve(REFERENCE_GRID_16, "branch_and_bound", node_budget=100)
+    assert cert.info.lower_bound >= 0.55
     assert verify_certificate(cert).feasible
