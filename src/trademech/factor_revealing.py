@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import (Instance, DiscreteDistribution, _gain_sweep, best_fixed_price,
                    opt_welfare)
-from .numkernel import lp_problem, lp_solve
+from .numkernel import LPModel, lp_problem, lp_solve
 # Unused here; the benchmark's tracer wraps it under this module's name.
 from .numkernel import certified_binary_search  # noqa: F401
 
@@ -70,11 +70,13 @@ class SolveInfo:
     upper_bound is the objective of the feasible point returned;
     lower_bound, when present, is a proven bound on the program's global
     minimum and hence the number a ratio guarantee may cite. Heuristic
-    modes leave it None on purpose.
+    modes leave it None on purpose. lp_iterations is the simplex
+    iterations summed over every LP the solve ran.
     """
 
     mode: str
     iterations: int = 0
+    lp_iterations: int = 0
     nodes: int = 0
     restarts: int = 0
     lower_bound: float = None
@@ -291,66 +293,91 @@ def verify_certificate(c: GridCertificate) -> CertificateReport:
     )
 
 
-def _half_step(grid, fixed, free, role):
+def _half_step(grid, fixed, free, role, model=None, basis=None):
     """One LP over (free side, r) with the other side's masses held fixed.
 
     The quadratic optimum constraint is linear once a side is pinned, so
-    each half problem is an honest LP, no relaxation involved. Returns the
-    optimizing mass vector and its objective r.
+    each half problem is an honest LP, no relaxation involved. model, the
+    model of an earlier half-step on the same side, is edited into this
+    one, and basis warm-starts the solve. Returns the (model, solution):
+    the free side's masses are x[:n] and r its value.
     """
-    p = grid.as_array()
     n = grid.n
     G, h, const = _pinned_rows(grid, fixed, free, role == "upper")
-    ones = np.append(np.ones(n), 0.0)
-    if role == "lower":
-        cons = [(ones, ">=", 1.0), (ones, "<=", 1.0 + 1.0 / p[-1])]
+    if model is None:
+        ones = np.append(np.ones(n), 0.0)
+        cap = 1.0 + 1.0 / grid.prices[-1]
+        cons = ([(ones, ">=", 1.0), (ones, "<=", cap)] if role == "lower"
+                else [(ones, "=", 1.0)])
+        cons.append((np.append(h, 0.0), ">=", 1.0))
+        cons.append((np.column_stack([G, -np.ones(n)]), "<=", -const))
+        model = LPModel(lp_problem(np.append(np.zeros(n), 1.0), cons))
     else:
-        cons = [(ones, "=", 1.0)]
-    cons.append((np.append(h, 0.0), ">=", 1.0))
-    cons.append((np.column_stack([G, -np.ones(n)]), "<=", -const))
-    sol = lp_solve(lp_problem(np.append(np.zeros(n), 1.0), cons))
+        # rows: the mass window (two rows, or one equality), h, then G
+        rows = (2 if role == "lower" else 1) + np.arange(n + 1)
+        model.set_coeffs(np.repeat(rows, n), np.tile(np.arange(n), n + 1),
+                         np.vstack([h, G]).ravel())
+        model.set_rhs(rows[1:], -const)
+    sol = lp_solve(model, basis)
     if sol.status != "optimal":
         raise RuntimeError(f"half step LP came back {sol.status}")
-    return sol.x[:n], float(sol.value)
+    return model, sol
 
 
-def _alternate(grid, role, b0, rounds):
+def _alternate(grid, role, b0, rounds, models):
     """Alternate the two half LPs from a starting buyer vector.
 
     The objective never increases: the previous half's optimum stays
     feasible for the next, so the sequence of r values is monotone and the
     loop stops once it stalls. The fixed point is a feasible certificate
-    whose r only upper-bounds the program's global minimum. Returns
-    (s, b, r, rounds run, whether the run stalled).
+    whose r only upper-bounds the program's global minimum. models maps
+    each side to the model its half-steps edit (None until one is built),
+    and each half-step after a side's first starts from the basis of the
+    one before. Returns (s, b, r, rounds run, whether the run stalled,
+    simplex iterations).
     """
+    n = grid.n
+    bases = {"s": None, "b": None}
+    pivots = 0
+
+    def step(fixed, free):
+        nonlocal pivots
+        models[free], sol = _half_step(grid, fixed, free, role, models[free], bases[free])
+        bases[free] = sol.basis
+        pivots += sol.iterations
+        return sol.x[:n], float(sol.value)
+
     b = np.asarray(b0, dtype=float)
-    s, r = _half_step(grid, b, "s", role)
+    s, r = step(b, "s")
     done, stalled = 0, False
     for done in range(1, rounds + 1):
-        b, _ = _half_step(grid, s, "b", role)
-        s, r_s = _half_step(grid, b, "s", role)
+        b, _ = step(s, "b")
+        s, r_s = step(b, "s")
         stalled = r - r_s < 1e-12
         r = r_s
         if stalled:
             break
     rows = welfare_rows(grid, s, b, inclusive=(role == "upper"))
-    return s, b, float(rows.max()), done, stalled
+    return s, b, float(rows.max()), done, stalled, pivots
 
 
 def _best_alternate(grid, role, starts, rounds):
     """Run the alternating descent from each starting buyer vector and
     keep the lowest (r, s, b). Returns r, s, b, the rounds run over all
-    starts, and whether the kept run stalled."""
+    starts, whether the kept run stalled, and the simplex iterations of
+    all starts. The starts share one model per side."""
     best = None
-    total = 0
+    total = pivots = 0
+    models = {"s": None, "b": None}
     for b0 in starts:
-        s, b, r, done, stalled = _alternate(grid, role, b0, rounds)
+        s, b, r, done, stalled, run_pivots = _alternate(grid, role, b0, rounds, models)
         total += done
+        pivots += run_pivots
         run = (r, tuple(s), tuple(b))
         if best is None or run < best[0]:
             best = (run, stalled)
     (r, s, b), stalled = best
-    return r, s, b, total, stalled
+    return r, s, b, total, stalled, pivots
 
 
 def lowerop_solve(grid: PriceGrid, mode: str = "branch_and_bound", *,
@@ -388,13 +415,25 @@ def lowerop_solve(grid: PriceGrid, mode: str = "branch_and_bound", *,
     low2[:2] = 0.5
     starts = [np.full(n, 1.0 / n), inv / inv.sum(), low2]
     if mode == "alternating":
-        r, s, b, iters, stalled = _best_alternate(grid, "lower", starts, 60)
-        info = SolveInfo(mode="alternating", iterations=iters,
+        r, s, b, iters, stalled, pivots = _best_alternate(grid, "lower", starts, 60)
+        info = SolveInfo(mode="alternating", iterations=iters, lp_iterations=pivots,
                          upper_bound=r, converged=stalled)
         return GridCertificate(grid, s, b, r, "lower", info)
     if mode != "branch_and_bound":
         raise ValueError(f"unknown mode {mode!r}")
     return _branch_and_bound(grid, starts, node_budget, gap_tol)
+
+
+# The four McCormick corners of a node LP's envelope blocks, in row order:
+# whether the seller end is cap (else 0), whether the buyer end is hi_j
+# (else lo_j), and the relation of z_ij to the plane through the corner.
+_CORNERS = ((False, False, ">="), (True, True, ">="), (True, False, "<="),
+            (False, True, "<="))
+
+
+def _buyer_window(lo, hi, cap):
+    """The buyer mass window [1, cap] clamped to the box's sums."""
+    return max(1.0, float(lo.sum())), min(cap, float(hi.sum()))
 
 
 def _box_rows(grid, lo, hi):
@@ -403,93 +442,134 @@ def _box_rows(grid, lo, hi):
     Variables are (s, b, z, r), with z_ij standing for s_i b_j at index
     2n + i*n + j. The box is the buyer box lo <= b <= hi, both of length
     n; every s_i keeps its root range [0, cap]. Four McCormick envelopes
-    bound each z_ij through the corners (0, lo_j), (cap, hi_j), (cap, lo_j)
-    and (0, hi_j), leaving out the first where lo_j = 0 since z >= 0 says
-    as much; a point interval for b_j makes them exact. The aggregates
-    pin the z block's row i between s_i times the box-clamped buyer mass
-    window, and its column j between b_j and cap * b_j; these cut far
-    deeper than the envelopes alone. Returns the envelope blocks and the
-    aggregate blocks, each a list of (rows, rel, rhs).
+    bound each z_ij through the corners of _CORNERS, one block of n*n rows
+    (row i*n + j) per corner; a point interval for b_j makes them exact.
+    Every box gets all 4n^2 rows, so the layout never changes: where
+    lo_j = 0 the (0, lo_j) row reads z_ij >= 0. The aggregates pin the z
+    block's row i between s_i times the box-clamped buyer mass window,
+    and its column j between b_j and cap * b_j; these cut far deeper than
+    the envelopes alone. Returns the envelope blocks and the aggregate
+    blocks, each a list of (rows, rel, rhs).
     """
     n = grid.n
     cap = 1.0 + 1.0 / grid.prices[-1]
     E = np.eye(2 * n + n * n + 1)
     S, B, Z = E[:n], E[n:2 * n], E[2 * n:-1]
     pi, pj = divmod(np.arange(n * n), n)
-
-    def envelope(s_end, b_end, rel):
+    envelopes = []
+    for top, upper, rel in _CORNERS:
         # z_ij against the plane through the corner (s_end, b_end)
-        return (Z - b_end[:, None] * S[pi] - s_end * B[pj], rel, -s_end * b_end)
-
-    lo_b, hi_b = lo[pj], hi[pj]
-    low, rel, rhs = envelope(0.0, lo_b, ">=")
-    keep = lo_b > 0.0
-    b_lo, b_hi = max(1.0, float(lo.sum())), min(cap, float(hi.sum()))
+        s_end, b_end = (cap if top else 0.0), (hi if upper else lo)[pj]
+        envelopes.append((Z - b_end[:, None] * S[pi] - s_end * B[pj], rel,
+                          -s_end * b_end))
+    b_lo, b_hi = _buyer_window(lo, hi, cap)
     z_rows = Z.reshape(n, n, -1).sum(axis=1)
     z_cols = Z.reshape(n, n, -1).sum(axis=0)
-    return ([(low[keep], rel, rhs[keep]),
-             envelope(cap, hi_b, ">="),
-             envelope(cap, lo_b, "<="),
-             envelope(0.0, hi_b, "<=")],
+    return (envelopes,
             [(z_rows - b_hi * S, "<=", 0.0),
              (z_rows - b_lo * S, ">=", 0.0),
              (z_cols - cap * B, "<=", 0.0),
              (z_cols - B, ">=", 0.0)])
 
 
-def _branch_and_bound(grid, starts, node_budget, gap_tol):
-    """Best-first branch-and-bound on the McCormick relaxation over boxes
-    of buyer masses. Each popped node that survives pruning offers one
-    incumbent, the seller half-step at its b, and then splits b_j for the
-    worst weighted product violation (i, j); the leaves tile the b box."""
+def _node_lp(grid, lo, hi):
+    """The lower program's McCormick relaxation over the buyer box
+    lo <= b <= hi, minimizing r: the static rows (mass windows, the
+    optimum on the product variables, one exclusive welfare row per
+    level), then _box_rows' envelopes and aggregates. Bounds keep s_i in
+    [0, cap], b in the box and z_ij in [0, cap * hi_j]."""
     p = grid.as_array()
     n = grid.n
     cap = 1.0 + 1.0 / p[-1]
-    M = np.maximum.outer(p, p)
     E = np.eye(2 * n + n * n + 1)
     S, B, Z, R = E[:n], E[n:2 * n], E[2 * n:-1], E[-1]
-
-    # Static rows: mass windows, the optimum constraint on the product
-    # variables, and one welfare row per level. Its z block is the gain
-    # each seller/buyer pair of unit masses collects at that level.
+    # Each welfare row's z block is the gain each seller/buyer pair of
+    # unit masses collects at that level.
     unit = np.eye(n)
     pair = _row_gains(grid, unit[:, None], unit[None], False).reshape(n * n, n)
     welfare = p @ S + pair.T @ Z - R
     static = [(S.sum(axis=0), ">=", 1.0), (S.sum(axis=0), "<=", cap),
               (B.sum(axis=0), ">=", 1.0), (B.sum(axis=0), "<=", cap),
-              (M.ravel() @ Z, ">=", 1.0), (welfare, "<=", 0.0)]
+              (np.maximum.outer(p, p).ravel() @ Z, ">=", 1.0), (welfare, "<=", 0.0)]
+    envelopes, aggregates = _box_rows(grid, lo, hi)
+    bounds = np.column_stack([
+        np.concatenate([np.zeros(n), lo, np.zeros(n * n + 1)]),
+        np.concatenate([np.full(n, cap), hi, np.tile(cap * hi, n), [np.inf]])])
+    return lp_problem(R, static + envelopes + aggregates, bounds=bounds)
 
-    def solve_box(lo, hi):
-        bounds = np.column_stack([
-            np.concatenate([np.zeros(n), lo, np.zeros(n * n + 1)]),
-            np.concatenate([np.full(n, cap), hi, np.tile(cap * hi, n), [np.inf]])])
-        envelopes, aggregates = _box_rows(grid, lo, hi)
-        return lp_solve(lp_problem(R, static + envelopes + aggregates, bounds=bounds))
+
+def _set_box(model, grid, lo, hi):
+    """Edit a model of any _node_lp(grid, ...) into _node_lp(grid, lo, hi).
+
+    Writes every entry that depends on the box: the 4n^2 envelope
+    coefficients on s, the right-hand sides of the cap corners' rows, the
+    2n aggregate coefficients on s, and the bounds on b and z. Writing
+    them all takes a handful of array operations at any box, so no record
+    of the box the model last held is kept.
+    """
+    n = grid.n
+    cap = 1.0 + 1.0 / grid.prices[-1]
+    first = n + 5                       # the static rows come first
+    pi, pj = divmod(np.arange(n * n), n)
+    ends = [(hi if upper else lo)[pj] for _, upper, _ in _CORNERS]
+    b_lo, b_hi = _buyer_window(lo, hi, cap)
+    model.set_coeffs(first + np.arange(4 * n * n + 2 * n),
+                     np.concatenate([np.tile(pi, 4), np.tile(np.arange(n), 2)]),
+                     -np.concatenate(ends + [np.full(n, b_hi), np.full(n, b_lo)]))
+    for k, (top, _, _) in enumerate(_CORNERS):
+        if top:
+            model.set_rhs(first + k * n * n + np.arange(n * n), -cap * ends[k])
+    model.set_bounds(np.arange(n, 2 * n + n * n), np.concatenate([lo, np.zeros(n * n)]),
+                     np.concatenate([hi, np.tile(cap * hi, n)]))
+
+
+def _branch_and_bound(grid, starts, node_budget, gap_tol):
+    """Best-first branch-and-bound on the McCormick relaxation over boxes
+    of buyer masses. Each popped node that survives pruning offers one
+    incumbent, the seller half-step at its b, and then splits b_j for the
+    worst weighted product violation (i, j); the leaves tile the b box.
+
+    One LPModel holds the node LP for the whole tree, with a fixed row
+    layout. Each child writes its box into it (_set_box) and solves from
+    its parent's basis, which the heap entry carries. A child whose LP hits the
+    iteration limit is set aside with its parent's bound.
+    """
+    p = grid.as_array()
+    n = grid.n
+    cap = 1.0 + 1.0 / p[-1]
 
     # Each half-step is an honest LP, always feasible because the mass
     # windows allow enough weight at the top level to cover the optimum
     # constraint, so the best descent is a true incumbent.
-    inc_r, inc_s, inc_b, _, _ = _best_alternate(grid, "lower", starts, 40)
+    inc_r, inc_s, inc_b, _, _, pivots = _best_alternate(grid, "lower", starts, 40)
 
-    weight = M + 1.0
+    weight = np.maximum.outer(p, p) + 1.0
     box0 = (np.zeros(n), np.full(n, cap))
-    sol0 = solve_box(*box0)
+    model = LPModel(_node_lp(grid, *box0))
+    sol0 = lp_solve(model)
+    pivots += sol0.iterations
     if sol0.status != "optimal":
         raise RuntimeError(f"root relaxation came back {sol0.status}")
     nodes = 1
     counter = 0
-    heap = [(float(sol0.value), counter, box0, sol0.x)]
+    heap = [(float(sol0.value), counter, box0, sol0.x, sol0.basis)]
     # Bounds of regions set aside without being fully resolved; they keep
     # the final lower bound honest even when exploration stops early.
     stalled = []
+    seller = fix = None         # the last incumbent half-step, warm for the next
     while heap and nodes + 2 <= node_budget:
-        bound, _, (lo, hi), x = heapq.heappop(heap)
+        bound, _, (lo, hi), x, basis = heapq.heappop(heap)
         if bound >= inc_r - 1e-12:
             continue
         s_val, b_val = x[:n], x[n:2 * n]
-        fix = _alternate(grid, "lower", np.maximum(b_val, 0.0), 0)
-        if fix[2] < inc_r:
-            inc_s, inc_b, inc_r = fix[:3]
+        b_fix = np.maximum(b_val, 0.0)
+        seller, fix = _half_step(grid, b_fix, "s", "lower", seller,
+                                 None if fix is None else fix.basis)
+        pivots += fix.iterations
+        s_fix = fix.x[:n]
+        r_fix = float(welfare_rows(grid, s_fix, b_fix, inclusive=False).max())
+        if r_fix < inc_r:
+            inc_s, inc_b, inc_r = s_fix, b_fix, r_fix
         if inc_r - bound <= gap_tol:
             # Best-bound order means every remaining region is within the
             # gap too, so this is convergence, not abandonment.
@@ -508,14 +588,20 @@ def _branch_and_bound(grid, starts, node_budget, gap_tol):
         low_hi, high_lo = hi.copy(), lo.copy()
         low_hi[j] = high_lo[j] = cut
         for child_box in ((lo, low_hi), (high_lo, hi)):
-            sol = solve_box(*child_box)
+            _set_box(model, grid, *child_box)
+            sol = lp_solve(model, basis)
             nodes += 1
-            if sol.status == "optimal" and sol.value < inc_r - 1e-12:
+            pivots += sol.iterations
+            if sol.status == "iteration_limit":
+                # unresolved, not empty: the parent's bound still holds
+                stalled.append(bound)
+            elif sol.status == "optimal" and sol.value < inc_r - 1e-12:
                 counter += 1
-                heapq.heappush(heap, (float(sol.value), counter, child_box, sol.x))
+                heapq.heappush(heap, (float(sol.value), counter, child_box, sol.x,
+                                      sol.basis))
     lower = min([inc_r] + [h[0] for h in heap] + stalled)
     gap = inc_r - lower
-    info = SolveInfo(mode="branch_and_bound", nodes=nodes,
+    info = SolveInfo(mode="branch_and_bound", nodes=nodes, lp_iterations=pivots,
                      lower_bound=float(lower), upper_bound=float(inc_r),
                      gap=float(gap), converged=bool(gap <= gap_tol))
     return GridCertificate(grid, tuple(inc_s), tuple(inc_b), float(inc_r),
@@ -544,9 +630,9 @@ def upperop_search(grid: PriceGrid, restarts: int = 8, *,
     n = work.n
     rngs = (np.random.default_rng(seed + k) for k in range(1, restarts))
     starts = [np.full(n, 1.0 / n)] + [rng.dirichlet(np.ones(n)) for rng in rngs]
-    r, s, b, iters, _ = _best_alternate(work, "upper", starts, 40)
+    r, s, b, iters, _, pivots = _best_alternate(work, "upper", starts, 40)
     info = SolveInfo(mode="upperop_alternating", iterations=iters,
-                     restarts=restarts, upper_bound=r)
+                     lp_iterations=pivots, restarts=restarts, upper_bound=r)
     return GridCertificate(work, s, b, r, "upper", info)
 
 

@@ -1,4 +1,4 @@
-from .lp import lp_problem, lp_solve
+from .lp import LPModel, lp_problem, lp_solve
 from .search import certified_binary_search
 
-__all__ = ["lp_problem", "lp_solve", "certified_binary_search"]
+__all__ = ["LPModel", "lp_problem", "lp_solve", "certified_binary_search"]

@@ -6,20 +6,25 @@ sides rhs (m,), and variable bounds lo, hi (n,) with -inf / +inf where a
 bound is missing. lp_problem stacks constraint blocks (rows, rel, rhs),
 each one row or a 2-D array of rows, into that form and validates it.
 
-lp_solve hands the arrays to HiGHS's compiled core (Huangfu and Hall,
-"Parallelizing the dual revised simplex method", Math. Prog. Comp. 2018),
-which scipy ships as the extension scipy.optimize._highspy._core. The
-extension is loaded on its own on the first solve: importing
-scipy.optimize would cost about 49 MB, the extension about 3 MB. It is
-registered under its real module name, so a later import of
-scipy.optimize reuses it instead of loading it a second time (a second
-copy fails to register its types).
+HiGHS's compiled core (Huangfu and Hall, "Parallelizing the dual revised
+simplex method", Math. Prog. Comp. 2018) does the solving; scipy ships
+it as the extension scipy.optimize._highspy._core. The extension is
+loaded on its own on the first solve: importing scipy.optimize would
+cost about 49 MB, the extension about 3 MB. It is registered under its
+real module name, so a later import of scipy.optimize reuses it instead
+of loading it a second time (a second copy fails to register its types).
 
-Each solve gets a fresh solver object with presolve off. Both choices
-keep peak memory down: on the benchmark's lower_bnb workload (2 vCPUs),
-one solver object reused across calls raised it by about 0.8 MB, and
-presolve by about 0.5 MB while also slowing the run from about 0.42 to
-0.72 s.
+An LPModel holds a problem and one HiGHS solver object for it. Its
+column bounds, matrix coefficients and right-hand sides can be edited in
+place while the row and column layout stays fixed, so a sequence of
+related LPs builds its matrix once. lp_solve is the one way to solve:
+given an LPProblem it builds a throwaway model. Each optimal solution
+carries its basis, and passing that basis to a later solve of a problem
+with the same rows and columns warm-starts the dual simplex from it. A
+model lives only as long as the call that made it; nothing is cached
+between calls. Presolve is off: on the benchmark's lower_bnb workload
+(2 vCPUs) it raised peak memory by about 0.5 MB and slowed the run from
+about 0.42 to 0.72 s.
 """
 
 from __future__ import annotations
@@ -55,11 +60,13 @@ class LPProblem:
 
 @dataclass
 class LPSolution:
-    status: str                      # 'optimal' | 'infeasible' | 'unbounded'
+    # 'optimal' | 'infeasible' | 'unbounded' | 'iteration_limit'
+    status: str
     x: np.ndarray = None
     value: float = None
     dual: np.ndarray = None          # one multiplier per constraint row
     iterations: int = 0
+    basis: object = None             # HiGHS basis of an optimal solve
 
 
 def lp_problem(objective, constraints, bounds=None, sense="min") -> LPProblem:
@@ -127,45 +134,131 @@ def _highs():
     return module
 
 
-def lp_solve(prob: LPProblem) -> LPSolution:
-    """Solve an LPProblem; see LPSolution for the contract.
+class LPModel:
+    """An LPProblem and one HiGHS solver object for it, edited in place.
+
+    The edits change column bounds, matrix coefficients and right-hand
+    sides; each row keeps its relation, and the numbers of rows and
+    columns never change. The model keeps the matrix in column-wise
+    arrays, so an edit is a few array writes; an entry set to zero stays
+    in them, and HiGHS drops it on the way in. lp_solve hands the problem
+    as it stands to the solver object, which costs about 0.03 ms for the
+    16-level node LP of the lower program (1109 rows, 289 columns) and
+    makes HiGHS scale the edited matrix afresh. After HiGHS's own in-place
+    coefficient edits it keeps the scale factors of its first solve, and
+    node values then drifted up to 3.5e-6 from the optimum, against
+    1.5e-8 for a fresh solve.
+    """
+
+    def __init__(self, prob: LPProblem):
+        h = _highs()
+        m, n = prob.A.shape
+        cols, rows = np.nonzero(prob.A.T)
+        self._m, self._n = m, n
+        self._key = cols * m + rows             # sorted column by column
+        self._value = prob.A[rows, cols]
+        self._index_rows()
+        self._integrality = np.zeros(n, dtype=np.int32)
+        self._c, self._rel = prob.c.copy(), prob.rel.copy()
+        self._lo, self._hi = prob.lo.copy(), prob.hi.copy()
+        self._row_lo = np.where(prob.rel >= 0, prob.rhs, -np.inf)
+        self._row_hi = np.where(prob.rel <= 0, prob.rhs, np.inf)
+        self._sense = (h.ObjSense.kMinimize if prob.sense == "min"
+                       else h.ObjSense.kMaximize).value
+        highs = h._Highs()
+        highs.setOptionValue("output_flag", False)
+        highs.setOptionValue("presolve", "off")
+        # A degenerate LP can make the dual simplex spin without end; the
+        # largest cold node LP of the 16-level lower program takes 907
+        # iterations, so this limit is far above any honest solve.
+        highs.setOptionValue("simplex_iteration_limit", 20_000)
+        self._highs = highs
+
+    def set_bounds(self, cols, lo, hi):
+        """Give columns cols the bounds lo <= x <= hi (arrays or scalars)."""
+        if np.isnan(lo).any() or np.isnan(hi).any():
+            raise ValueError("bounds must not be NaN")
+        self._lo[cols], self._hi[cols] = lo, hi
+
+    def set_coeffs(self, rows, cols, values):
+        """Set A[rows[k], cols[k]] = values[k] for distinct (row, col) pairs."""
+        rows, cols = np.ravel(rows), np.ravel(cols)
+        values = np.broadcast_to(np.asarray(values, dtype=float).ravel(), rows.shape)
+        if not np.isfinite(values).all():
+            raise ValueError("coefficients must be finite")
+        if rows.size and (min(rows.min(), cols.min()) < 0 or rows.max() >= self._m
+                          or cols.max() >= self._n):
+            raise IndexError("coefficient outside the matrix")
+        keys = cols.astype(np.int64) * self._m + rows
+        pos = np.searchsorted(self._key, keys)
+        found = self._key[np.minimum(pos, self._key.size - 1)] == keys
+        self._value[pos[found]] = values[found]
+        new = ~found & (values != 0.0)
+        if new.any():
+            order = np.argsort(keys[new])
+            at = pos[new][order]
+            self._key = np.insert(self._key, at, keys[new][order])
+            self._value = np.insert(self._value, at, values[new][order])
+            self._index_rows()
+
+    def set_rhs(self, rows, rhs):
+        """Set the right-hand sides of rows, which keep their relations."""
+        if not np.isfinite(rhs).all():
+            raise ValueError("rhs must be finite")
+        rel = self._rel[rows]
+        self._row_lo[rows] = np.where(rel >= 0, rhs, -np.inf)
+        self._row_hi[rows] = np.where(rel <= 0, rhs, np.inf)
+
+    def _index_rows(self):
+        """HiGHS's column starts and row indices of the entries in _key."""
+        cols, rows = np.divmod(self._key, self._m)
+        self._start = np.searchsorted(cols, np.arange(self._n)).astype(np.int32)
+        self._index = rows.astype(np.int32)
+
+    def _pass(self):
+        """Hand the problem as it stands to the solver object."""
+        h = _highs()
+        status = self._highs.passModel(
+            self._n, self._m, self._key.size, h.MatrixFormat.kColwise.value,
+            self._sense, 0.0, self._c, self._lo, self._hi, self._row_lo, self._row_hi,
+            self._start, self._index, self._value, self._integrality)
+        if status == h.HighsStatus.kError:
+            raise ValueError("HiGHS rejected the model")
+
+
+def lp_solve(prob, basis=None) -> LPSolution:
+    """Solve an LPProblem or an LPModel as it stands; see LPSolution for
+    the contract.
+
+    basis, taken from an earlier optimal LPSolution of a problem with the
+    same rows and columns, is where the dual simplex starts; without it
+    the solve starts cold, from the slack basis.
 
     The dual vector has one entry per constraint row, signed so that for a
     'min' problem duals of '<=' rows are <= 0 and duals of '>=' rows are
     >= 0 (and conversely for 'max'), with value = dual @ rhs + bound terms.
-    Raises RuntimeError if HiGHS ends in any state other than optimal,
-    infeasible or unbounded.
+    A solve that reaches the simplex iteration limit ends with status
+    'iteration_limit' and no solution. Raises RuntimeError if HiGHS ends
+    in any other state than optimal, infeasible or unbounded.
     """
+    model = prob if isinstance(prob, LPModel) else LPModel(prob)
     h = _highs()
-    m, n = prob.A.shape
-    lp = h.HighsLp()
-    lp.num_col_, lp.num_row_ = n, m
-    lp.sense_ = h.ObjSense.kMinimize if prob.sense == "min" else h.ObjSense.kMaximize
-    lp.col_cost_, lp.col_lower_, lp.col_upper_ = prob.c, prob.lo, prob.hi
-    lp.row_lower_ = np.where(prob.rel >= 0, prob.rhs, -np.inf)
-    lp.row_upper_ = np.where(prob.rel <= 0, prob.rhs, np.inf)
-    cols, rows = np.nonzero(prob.A.T)
-    matrix = lp.a_matrix_
-    matrix.format_ = h.MatrixFormat.kColwise
-    matrix.num_col_, matrix.num_row_ = n, m
-    matrix.start_ = np.searchsorted(cols, np.arange(n + 1))
-    matrix.index_ = rows
-    matrix.value_ = prob.A[rows, cols]
-
-    highs = h._Highs()
-    highs.setOptionValue("output_flag", False)
-    highs.setOptionValue("presolve", "off")
-    highs.passModel(lp)
+    highs = model._highs
+    model._pass()
+    if basis is not None and highs.setBasis(basis) == h.HighsStatus.kError:
+        raise ValueError("HiGHS rejected the basis")
     highs.run()
     status = highs.getModelStatus()
-    iterations = int(highs.getInfo().simplex_iteration_count)
-    if status == h.HighsModelStatus.kInfeasible:
-        return LPSolution(status="infeasible", iterations=iterations)
-    if status == h.HighsModelStatus.kUnbounded:
-        return LPSolution(status="unbounded", iterations=iterations)
+    iterations = int(highs.getInfoValue("simplex_iteration_count")[1])
+    ends = {h.HighsModelStatus.kInfeasible: "infeasible",
+            h.HighsModelStatus.kUnbounded: "unbounded",
+            h.HighsModelStatus.kIterationLimit: "iteration_limit"}
+    if status in ends:
+        return LPSolution(status=ends[status], iterations=iterations)
     if status != h.HighsModelStatus.kOptimal:
         raise RuntimeError(f"HiGHS ended with {highs.modelStatusToString(status)}")
     solution = highs.getSolution()
     x = np.array(solution.col_value)
-    return LPSolution(status="optimal", x=x, value=float(prob.c @ x),
-                      dual=np.array(solution.row_dual), iterations=iterations)
+    return LPSolution(status="optimal", x=x, value=float(model._c @ x),
+                      dual=np.array(solution.row_dual), iterations=iterations,
+                      basis=highs.getBasis())

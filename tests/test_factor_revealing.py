@@ -22,13 +22,16 @@ from trademech.core import (
     DiscreteDistribution, Instance, Price, best_fixed_price,
     fixed_price_welfare, opt_welfare, scale_instance,
 )
+import trademech.factor_revealing as fr
 from trademech.factor_revealing import (
     GridCertificate, PriceGrid, REFERENCE_GRID_16, _best_alternate, _box_rows,
-    _pinned_rows, _row_gains, certificate_from_json,
+    _node_lp, _pinned_rows, _set_box, _row_gains, certificate_from_json,
     certificate_to_json, convergence_bracket, discretize_distribution,
     lowerop_solve, one_sided_certify, one_sided_value, opt_quadratic,
     upperop_search, upperop_to_instance, verify_certificate, welfare_rows,
 )
+from trademech.numkernel import LPModel
+from trademech.numkernel.lp import LPSolution
 
 
 def dist(*pairs):
@@ -293,7 +296,7 @@ def test_alternating_reports_a_stall_on_its_last_round():
     g = PriceGrid((0.0, 0.35, 0.8, 1000.0))
     inv = 1.0 / (1.0 + g.as_array())
     starts = [np.full(4, 0.25), inv / inv.sum(), np.array([0.5, 0.5, 0.0, 0.0])]
-    _, _, _, iters, stalled = _best_alternate(g, "lower", starts, 2)
+    _, _, _, iters, stalled, _ = _best_alternate(g, "lower", starts, 2)
     assert (iters, stalled) == (4, True)
 
 
@@ -334,8 +337,7 @@ def test_box_rows_contain_every_true_point(prices):
         ub = b + rng.uniform(0.0, 0.5, n) * (rng.random(n) < 0.7)
         envelopes, aggregates = _box_rows(grid, lb, ub)
         blocks = envelopes + aggregates
-        lows = n * int(np.sum(lb > 0.0))
-        assert sum(len(np.atleast_2d(rows)) for rows, _, _ in blocks) == lows + 3 * n * n + 4 * n
+        assert sum(len(np.atleast_2d(rows)) for rows, _, _ in blocks) == 4 * n * n + 4 * n
         x = np.concatenate([s, b, np.outer(s, b).ravel(), [0.0]])
         for rows, rel, rhs in blocks:
             lhs = np.atleast_2d(rows) @ x
@@ -344,6 +346,100 @@ def test_box_rows_contain_every_true_point(prices):
             else:
                 assert rel == ">="
                 assert np.all(lhs >= rhs - 1e-12)
+
+
+def _held_lp(model):
+    """The matrix, row bounds and column bounds a model hands to HiGHS."""
+    model._pass()
+    lp = model._highs.getLp()
+    a = lp.a_matrix_
+    A = np.zeros((lp.num_row_, lp.num_col_))
+    cols = np.repeat(np.arange(lp.num_col_), np.diff(a.start_))
+    A[np.asarray(a.index_), cols] = a.value_
+    return A, lp.row_lower_, lp.row_upper_, lp.col_lower_, lp.col_upper_
+
+
+@pytest.mark.parametrize("prices", [(0.0, 0.3, 0.7, 2.0), REFERENCE_GRID_16.prices])
+def test_box_edits_equal_a_fresh_node_lp(prices):
+    """After any sequence of box writes, splits and jumps between
+    unrelated boxes alike, the model holds exactly the node LP a fresh
+    build of that box gives: every matrix entry, row bound and column
+    bound."""
+    grid = PriceGrid(prices)
+    n = grid.n
+    cap = 1.0 + 1.0 / prices[-1]
+    rng = np.random.default_rng(7)
+    box = (np.zeros(n), np.full(n, cap))
+    model = LPModel(_node_lp(grid, *box))
+    boxes = [box]
+    for step in range(25):
+        if step % 5 == 4:
+            lo, hi = (v.copy() for v in boxes[int(rng.integers(len(boxes)))])
+        else:
+            lo, hi = box[0].copy(), box[1].copy()
+            for j in rng.choice(n, int(rng.integers(1, 3)), replace=False):
+                cut = rng.uniform(lo[j], hi[j])
+                if rng.random() < 0.5:
+                    lo[j] = cut if rng.random() < 0.8 else 0.0
+                else:
+                    hi[j] = cut
+        _set_box(model, grid, lo, hi)
+        box = (lo, hi)
+        boxes.append(box)
+        got, want = _held_lp(model), _held_lp(LPModel(_node_lp(grid, lo, hi)))
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
+def test_iteration_limited_child_keeps_its_parents_bound(monkeypatch):
+    """A child LP that stops at the iteration limit is set aside with its
+    parent's bound, not dropped: with either child of the root cut short,
+    the reported bound is the root's, below the converged bound."""
+    grid = PriceGrid((0.0, 0.2, 0.5, 1.5, 4.0))
+    n = grid.n
+    converged = lowerop_solve(grid)
+    root = fr.lp_solve(LPModel(_node_lp(grid, np.zeros(n), np.full(n, 1.25)))).value
+    assert converged.info.converged
+    assert root < converged.info.lower_bound - 1e-3
+    real_set, real_solve = fr._set_box, fr.lp_solve
+    for victim in (1, 2):
+        children = []
+
+        def set_box(*args):
+            children.append(True)
+            real_set(*args)
+
+        def limited(prob, basis=None):
+            # a child's solve comes right after its box is written
+            if children and children[-1] is True:
+                children[-1] = False
+                if len(children) == victim:
+                    return LPSolution(status="iteration_limit", iterations=20_000)
+            return real_solve(prob, basis)
+
+        monkeypatch.setattr(fr, "_set_box", set_box)
+        monkeypatch.setattr(fr, "lp_solve", limited)
+        cert = lowerop_solve(grid)
+        monkeypatch.undo()
+        assert len(children) > victim
+        assert cert.info.lower_bound == root
+        assert not cert.info.converged
+        assert verify_certificate(cert).feasible
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: lowerop_solve(PriceGrid((0.0, 0.2, 0.5, 1.5, 4.0))),
+    lambda: lowerop_solve(REFERENCE_GRID_16, node_budget=30),
+    lambda: lowerop_solve(REFERENCE_GRID_16, "alternating"),
+    lambda: upperop_search(PriceGrid((0.0, 0.3, 0.7, 1.4)), restarts=4, seed=3),
+], ids=["bnb", "bnb16", "alternating16", "upper"])
+def test_solves_repeat_exactly(solve):
+    """No solver state outlives a call: two calls in a row return the same
+    certificate and the same info, simplex iteration counts included."""
+    a, b = solve(), solve()
+    assert a == b
+    assert a.info == b.info
+    assert a.info.lp_iterations > 0
 
 
 def random_instance(rng, atoms=4):

@@ -8,7 +8,10 @@ import pytest
 from scipy.optimize import linprog
 
 import trademech
-from trademech.numkernel import lp_problem, lp_solve
+from trademech.numkernel import LPModel, lp_problem, lp_solve
+from trademech.numkernel.lp import LPProblem
+
+DATA = Path(__file__).parent / "data"
 
 
 def test_single_variable_max():
@@ -196,6 +199,90 @@ def test_degenerate_lp_does_not_cycle():
     assert sol.value == pytest.approx(-0.05, abs=1e-9)
     ref = _scipy_check(c, cons, [(0, None)] * 4, "min")
     assert sol.value == pytest.approx(ref.fun, abs=1e-9)
+
+
+def test_cycling_node_lp_stops_at_the_iteration_limit():
+    """A 16-level node LP of the lower program (885 rows, 289 columns), in
+    the row order it had when the (0, lo_j) envelope rows with lo_j = 0
+    were left out. The dual simplex circles at the value 0.62587279444
+    for good (over 92,000 iterations in 5 s); the same rows with the
+    '<=' rows first solve in 300 iterations. The iteration limit turns
+    the spin into a status the callers handle."""
+    d = np.load(DATA / "cycling_node_lp.npz")
+    A = np.zeros(tuple(d["shape"]))
+    A[d["rows"], d["cols"]] = d["vals"]
+    prob = LPProblem(d["c"], A, d["rel"], d["rhs"], d["lo"], d["hi"])
+    sol = lp_solve(prob)
+    assert sol.status == "iteration_limit"
+    assert sol.x is None and sol.basis is None
+    assert sol.iterations > 907
+
+
+def test_optimal_basis_restarts_without_pivots():
+    prob = lp_problem([2.0, 3.0, 1.0], [([1.0, 1.0, 1.0], ">=", 4.0),
+                                        ([1.0, -1.0, 2.0], "<=", 3.0),
+                                        ([0.0, 1.0, 1.0], ">=", 1.0)])
+    cold = lp_solve(prob)
+    warm = lp_solve(prob, cold.basis)
+    assert cold.iterations > 0
+    assert warm.iterations == 0
+    assert warm.value == cold.value
+    assert np.array_equal(warm.x, cold.x)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_model_edits_match_a_fresh_solve(seed):
+    """Bound, coefficient and rhs edits to an LPModel, including entries
+    that go to zero and come back, solve like a fresh LP of the edited
+    data, from the slack basis and from the last basis alike."""
+    rng = np.random.default_rng(300 + seed)
+    n, m = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+    c = rng.uniform(-2, 2, n)
+    A = rng.uniform(-1, 1, (m, n)) * (rng.random((m, n)) < 0.7)
+    rels = [["<=", ">=", "="][k] for k in rng.integers(0, 3, m)]
+    rhs = rng.uniform(-1, 2, m)
+    lo, hi = np.zeros(n), np.full(n, 10.0)
+    sense = "max" if rng.integers(0, 2) else "min"
+
+    def fresh():
+        return lp_problem(c, [(A[k], rels[k], rhs[k]) for k in range(m)],
+                          bounds=np.column_stack([lo, hi]), sense=sense)
+
+    model = LPModel(fresh())
+    basis = None
+    for _ in range(4):
+        rows, cols = rng.integers(0, m, 3), rng.integers(0, n, 3)
+        keys = np.unique(rows * n + cols)
+        rows, cols = np.divmod(keys, n)
+        values = rng.uniform(-1, 1, rows.size) * (rng.random(rows.size) < 0.7)
+        A[rows, cols] = values
+        model.set_coeffs(rows, cols, values)
+        k = int(rng.integers(0, m))
+        rhs[k] = rng.uniform(-1, 2)
+        model.set_rhs([k], rhs[k])
+        j = int(rng.integers(0, n))
+        lo[j], hi[j] = sorted(rng.uniform(0, 10, 2))
+        model.set_bounds([j], lo[j], hi[j])
+        want = lp_solve(fresh())
+        for got in (lp_solve(model, basis), lp_solve(model)):
+            assert got.status == want.status
+            if want.status == "optimal":
+                assert got.value == pytest.approx(want.value, abs=1e-7)
+                assert np.all(A @ got.x <= np.where(np.array(rels) == ">=", np.inf, rhs) + 1e-7)
+                assert np.all(A @ got.x >= np.where(np.array(rels) == "<=", -np.inf, rhs) - 1e-7)
+                basis = got.basis
+
+
+def test_model_edits_reject_bad_values():
+    model = LPModel(lp_problem([1.0, 1.0], [([1.0, 1.0], ">=", 1.0)]))
+    with pytest.raises(ValueError):
+        model.set_coeffs([0], [0], [float("nan")])
+    with pytest.raises(IndexError):
+        model.set_coeffs([1], [0], [1.0])
+    with pytest.raises(ValueError):
+        model.set_rhs([0], float("inf"))
+    with pytest.raises(ValueError):
+        model.set_bounds([0], float("nan"), 1.0)
 
 
 def _python(code, *path):
