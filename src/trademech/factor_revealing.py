@@ -70,12 +70,13 @@ class SolveInfo:
     upper_bound is the objective of the feasible point returned;
     lower_bound, when present, is a proven bound on the program's global
     minimum and hence the number a ratio guarantee may cite. Heuristic
-    modes leave it None on purpose. lp_iterations is the simplex
-    iterations summed over every LP the solve ran.
+    modes leave it None on purpose. lp_solves is the number of LPs the
+    solve ran, and lp_iterations their simplex iterations summed.
     """
 
     mode: str
     iterations: int = 0
+    lp_solves: int = 0
     lp_iterations: int = 0
     nodes: int = 0
     restarts: int = 0
@@ -143,16 +144,27 @@ def _pinned_rows(grid, fixed, free, inclusive):
 
     With the other side's masses pinned to fixed, welfare row t is
     G[t] @ x + const and the optimum is h @ x in the free side's masses
-    x; G comes from sweeping the free side's unit vectors. Returns
-    (G, h, const).
+    x. Returns (G, h, const). G is _row_gains at the free side's unit
+    vectors, in closed form from the fixed side's sums as _gain_sweep
+    takes them (S0, S1 the prefix sums of mass and mass x price, B0, B1
+    the suffix sums), so it equals that sweep bit for bit. With
+    k_t = t + 1 if inclusive, else t:
+    free s: G[t, i] = p_i + [i < k_t] (B1[t + 1] - p_i B0[t + 1]);
+    free b: G[t, j] = [j >= t + 1] (S0[k_t] p_j - S1[k_t]).
     """
     p = grid.as_array()
     fixed = np.asarray(fixed, dtype=float)
-    unit = np.eye(grid.n)
+    n = grid.n
     h = np.maximum.outer(p, p) @ fixed
+    # the mass and mass x price rows, padded with the zero the sums start from
+    x = np.zeros((2, n + 1))
     if free == "s":
-        return p + _row_gains(grid, unit, fixed, inclusive).T, h, 0.0
-    return _row_gains(grid, fixed, unit, inclusive).T, h, float(fixed @ p)
+        x[0, :n], x[1, :n] = fixed, fixed * p
+        b0, b1 = np.add.accumulate(x[:, ::-1], axis=1)[:, -2::-1, None]
+        return p + np.tril(b1 - p * b0, inclusive - 1), h, 0.0
+    x[0, 1:], x[1, 1:] = fixed, fixed * p
+    s0, s1 = np.add.accumulate(x, axis=1)[:, inclusive:n + inclusive, None]
+    return np.triu(s0 * p - s1, 1), h, float(fixed @ p)
 
 
 def opt_quadratic(grid, s, b) -> float:
@@ -293,18 +305,23 @@ def verify_certificate(c: GridCertificate) -> CertificateReport:
     )
 
 
-def _half_step(grid, fixed, free, role, model=None, basis=None):
+def _half_step(grid, fixed, free, role, held=None, basis=None):
     """One LP over (free side, r) with the other side's masses held fixed.
 
     The quadratic optimum constraint is linear once a side is pinned, so
-    each half problem is an honest LP, no relaxation involved. model, the
-    model of an earlier half-step on the same side, is edited into this
-    one, and basis warm-starts the solve. Returns the (model, solution):
-    the free side's masses are x[:n] and r its value.
+    each half problem is an honest LP, no relaxation involved. Its rows
+    are the mass window (two rows, or one equality), h, then G, and only
+    h, G and G's right-hand sides depend on the fixed masses. So the
+    first half-step on a side builds the model and resolves the slots of
+    its h and G entries once; held, the (model, slots) pair of an earlier
+    half-step on the same side, then takes this one's values, and basis
+    warm-starts the solve. Returns ((model, slots), solution): the free
+    side's masses are x[:n] and r its value.
     """
     n = grid.n
     G, h, const = _pinned_rows(grid, fixed, free, role == "upper")
-    if model is None:
+    rows = (2 if role == "lower" else 1) + np.arange(n + 1)
+    if held is None:
         ones = np.append(np.ones(n), 0.0)
         cap = 1.0 + 1.0 / grid.prices[-1]
         cons = ([(ones, ">=", 1.0), (ones, "<=", cap)] if role == "lower"
@@ -312,16 +329,16 @@ def _half_step(grid, fixed, free, role, model=None, basis=None):
         cons.append((np.append(h, 0.0), ">=", 1.0))
         cons.append((np.column_stack([G, -np.ones(n)]), "<=", -const))
         model = LPModel(lp_problem(np.append(np.zeros(n), 1.0), cons))
+        held = model, model.slots(np.repeat(rows, n), np.tile(np.arange(n), n + 1))
     else:
-        # rows: the mass window (two rows, or one equality), h, then G
-        rows = (2 if role == "lower" else 1) + np.arange(n + 1)
-        model.set_coeffs(np.repeat(rows, n), np.tile(np.arange(n), n + 1),
-                         np.vstack([h, G]).ravel())
-        model.set_rhs(rows[1:], -const)
+        model, slots = held
+        model.set_values(slots, np.concatenate([h, G.ravel()]))
+        if free == "b":         # with s free, const is always 0
+            model.set_rhs(rows[1:], -const)
     sol = lp_solve(model, basis)
     if sol.status != "optimal":
         raise RuntimeError(f"half step LP came back {sol.status}")
-    return model, sol
+    return held, sol
 
 
 def _alternate(grid, role, b0, rounds, models):
@@ -331,20 +348,20 @@ def _alternate(grid, role, b0, rounds, models):
     feasible for the next, so the sequence of r values is monotone and the
     loop stops once it stalls. The fixed point is a feasible certificate
     whose r only upper-bounds the program's global minimum. models maps
-    each side to the model its half-steps edit (None until one is built),
-    and each half-step after a side's first starts from the basis of the
-    one before. Returns (s, b, r, rounds run, whether the run stalled,
-    simplex iterations).
+    each side to the (model, slots) pair its half-steps edit (None until
+    one is built), and each half-step after a side's first starts from
+    the basis of the one before. Returns (s, b, r, rounds run, whether
+    the run stalled, (LPs solved, simplex iterations)).
     """
     n = grid.n
     bases = {"s": None, "b": None}
-    pivots = 0
+    lp = [0, 0]
 
     def step(fixed, free):
-        nonlocal pivots
         models[free], sol = _half_step(grid, fixed, free, role, models[free], bases[free])
         bases[free] = sol.basis
-        pivots += sol.iterations
+        lp[0] += 1
+        lp[1] += sol.iterations
         return sol.x[:n], float(sol.value)
 
     b = np.asarray(b0, dtype=float)
@@ -358,26 +375,29 @@ def _alternate(grid, role, b0, rounds, models):
         if stalled:
             break
     rows = welfare_rows(grid, s, b, inclusive=(role == "upper"))
-    return s, b, float(rows.max()), done, stalled, pivots
+    return s, b, float(rows.max()), done, stalled, tuple(lp)
 
 
-def _best_alternate(grid, role, starts, rounds):
+def _best_alternate(grid, role, starts, rounds, models=None):
     """Run the alternating descent from each starting buyer vector and
     keep the lowest (r, s, b). Returns r, s, b, the rounds run over all
-    starts, whether the kept run stalled, and the simplex iterations of
-    all starts. The starts share one model per side."""
+    starts, whether the kept run stalled, and (LPs solved, simplex
+    iterations) over all starts. The starts share one model per side,
+    kept in models (see _alternate) when the caller passes that dict."""
     best = None
-    total = pivots = 0
-    models = {"s": None, "b": None}
+    total = solves = pivots = 0
+    models = {"s": None, "b": None} if models is None else models
     for b0 in starts:
-        s, b, r, done, stalled, run_pivots = _alternate(grid, role, b0, rounds, models)
+        s, b, r, done, stalled, (run_solves, run_pivots) = _alternate(
+            grid, role, b0, rounds, models)
         total += done
+        solves += run_solves
         pivots += run_pivots
         run = (r, tuple(s), tuple(b))
         if best is None or run < best[0]:
             best = (run, stalled)
     (r, s, b), stalled = best
-    return r, s, b, total, stalled, pivots
+    return r, s, b, total, stalled, (solves, pivots)
 
 
 def lowerop_solve(grid: PriceGrid, mode: str = "branch_and_bound", *,
@@ -415,9 +435,10 @@ def lowerop_solve(grid: PriceGrid, mode: str = "branch_and_bound", *,
     low2[:2] = 0.5
     starts = [np.full(n, 1.0 / n), inv / inv.sum(), low2]
     if mode == "alternating":
-        r, s, b, iters, stalled, pivots = _best_alternate(grid, "lower", starts, 60)
-        info = SolveInfo(mode="alternating", iterations=iters, lp_iterations=pivots,
-                         upper_bound=r, converged=stalled)
+        r, s, b, iters, stalled, (solves, pivots) = _best_alternate(
+            grid, "lower", starts, 60)
+        info = SolveInfo(mode="alternating", iterations=iters, lp_solves=solves,
+                         lp_iterations=pivots, upper_bound=r, converged=stalled)
         return GridCertificate(grid, s, b, r, "lower", info)
     if mode != "branch_and_bound":
         raise ValueError(f"unknown mode {mode!r}")
@@ -498,29 +519,46 @@ def _node_lp(grid, lo, hi):
     return lp_problem(R, static + envelopes + aggregates, bounds=bounds)
 
 
-def _set_box(model, grid, lo, hi):
-    """Edit a model of any _node_lp(grid, ...) into _node_lp(grid, lo, hi).
-
-    Writes every entry that depends on the box: the 4n^2 envelope
-    coefficients on s, the right-hand sides of the cap corners' rows, the
-    2n aggregate coefficients on s, and the bounds on b and z. Writing
-    them all takes a handful of array operations at any box, so no record
-    of the box the model last held is kept.
+def _box_plan(model, grid):
+    """Where _set_box writes a box into a model of _node_lp(grid, ...),
+    resolved once, since it depends on the grid alone. Each number a box
+    writes is an entry of (lo, hi, b_hi, b_lo, 0, cap * hi); take indexes
+    it for the envelope and window ends, whose negatives are the
+    coefficients on s at slots, and for the b and z columns' lower and
+    upper bounds. The cap corners' rows take -cap times the ends at at.
+    Returns (model, cap, slots, take, at, those rows, the b and z columns).
     """
     n = grid.n
-    cap = 1.0 + 1.0 / grid.prices[-1]
     first = n + 5                       # the static rows come first
     pi, pj = divmod(np.arange(n * n), n)
-    ends = [(hi if upper else lo)[pj] for _, upper, _ in _CORNERS]
+    slots = model.slots(first + np.arange(4 * n * n + 2 * n),
+                        np.concatenate([np.tile(pi, 4), np.tile(np.arange(n), 2)]))
+    take = (np.concatenate([pj + (n if upper else 0) for _, upper, _ in _CORNERS]
+                           + [np.full(n, 2 * n), np.full(n, 2 * n + 1)]),
+            np.concatenate([np.arange(n), np.full(n * n, 2 * n + 2)]),
+            np.concatenate([n + np.arange(n), 2 * n + 3 + pj]))
+    at = np.concatenate([k * n * n + np.arange(n * n)
+                         for k, (top, _, _) in enumerate(_CORNERS) if top])
+    return (model, 1.0 + 1.0 / grid.prices[-1], slots, take, at, first + at,
+            np.arange(n, 2 * n + n * n))
+
+
+def _set_box(plan, lo, hi):
+    """Edit the model of a _box_plan into _node_lp(grid, lo, hi).
+
+    Writes every entry that depends on the box, only values at the
+    plan's positions: the envelope and aggregate coefficients on s, the
+    right-hand sides of the cap corners' rows, and the bounds on b and z.
+    Writing them all takes a handful of array operations at any box, so
+    no record of the box the model last held is kept.
+    """
+    model, cap, slots, take, at, rows, cols = plan
     b_lo, b_hi = _buyer_window(lo, hi, cap)
-    model.set_coeffs(first + np.arange(4 * n * n + 2 * n),
-                     np.concatenate([np.tile(pi, 4), np.tile(np.arange(n), 2)]),
-                     -np.concatenate(ends + [np.full(n, b_hi), np.full(n, b_lo)]))
-    for k, (top, _, _) in enumerate(_CORNERS):
-        if top:
-            model.set_rhs(first + k * n * n + np.arange(n * n), -cap * ends[k])
-    model.set_bounds(np.arange(n, 2 * n + n * n), np.concatenate([lo, np.zeros(n * n)]),
-                     np.concatenate([hi, np.tile(cap * hi, n)]))
+    box = np.concatenate([lo, hi, [b_hi, b_lo, 0.0], cap * hi])
+    ends, col_lo, col_hi = (box[k] for k in take)
+    model.set_values(slots, -ends)
+    model.set_rhs(rows, -cap * ends[at])
+    model.set_bounds(cols, col_lo, col_hi)
 
 
 def _branch_and_bound(grid, starts, node_budget, gap_tol):
@@ -530,9 +568,11 @@ def _branch_and_bound(grid, starts, node_budget, gap_tol):
     worst weighted product violation (i, j); the leaves tile the b box.
 
     One LPModel holds the node LP for the whole tree, with a fixed row
-    layout. Each child writes its box into it (_set_box) and solves from
-    its parent's basis, which the heap entry carries. A child whose LP hits the
-    iteration limit is set aside with its parent's bound.
+    layout, and _box_plan resolves once where a box goes in it. Each
+    child writes its box there (_set_box) and solves from its parent's
+    basis, which the heap entry carries. A child whose LP hits the
+    iteration limit is set aside with its parent's bound. The incumbent
+    half-steps edit the seller model of the opening descent.
     """
     p = grid.as_array()
     n = grid.n
@@ -541,12 +581,16 @@ def _branch_and_bound(grid, starts, node_budget, gap_tol):
     # Each half-step is an honest LP, always feasible because the mass
     # windows allow enough weight at the top level to cover the optimum
     # constraint, so the best descent is a true incumbent.
-    inc_r, inc_s, inc_b, _, _, pivots = _best_alternate(grid, "lower", starts, 40)
+    models = {"s": None, "b": None}
+    inc_r, inc_s, inc_b, _, _, (solves, pivots) = _best_alternate(
+        grid, "lower", starts, 40, models)
 
     weight = np.maximum.outer(p, p) + 1.0
     box0 = (np.zeros(n), np.full(n, cap))
     model = LPModel(_node_lp(grid, *box0))
+    plan = _box_plan(model, grid)
     sol0 = lp_solve(model)
+    solves += 1
     pivots += sol0.iterations
     if sol0.status != "optimal":
         raise RuntimeError(f"root relaxation came back {sol0.status}")
@@ -556,7 +600,7 @@ def _branch_and_bound(grid, starts, node_budget, gap_tol):
     # Bounds of regions set aside without being fully resolved; they keep
     # the final lower bound honest even when exploration stops early.
     stalled = []
-    seller = fix = None         # the last incumbent half-step, warm for the next
+    seller, fix = models["s"], None     # the last half-step warms the next
     while heap and nodes + 2 <= node_budget:
         bound, _, (lo, hi), x, basis = heapq.heappop(heap)
         if bound >= inc_r - 1e-12:
@@ -565,6 +609,7 @@ def _branch_and_bound(grid, starts, node_budget, gap_tol):
         b_fix = np.maximum(b_val, 0.0)
         seller, fix = _half_step(grid, b_fix, "s", "lower", seller,
                                  None if fix is None else fix.basis)
+        solves += 1
         pivots += fix.iterations
         s_fix = fix.x[:n]
         r_fix = float(welfare_rows(grid, s_fix, b_fix, inclusive=False).max())
@@ -588,9 +633,10 @@ def _branch_and_bound(grid, starts, node_budget, gap_tol):
         low_hi, high_lo = hi.copy(), lo.copy()
         low_hi[j] = high_lo[j] = cut
         for child_box in ((lo, low_hi), (high_lo, hi)):
-            _set_box(model, grid, *child_box)
+            _set_box(plan, *child_box)
             sol = lp_solve(model, basis)
             nodes += 1
+            solves += 1
             pivots += sol.iterations
             if sol.status == "iteration_limit":
                 # unresolved, not empty: the parent's bound still holds
@@ -601,7 +647,8 @@ def _branch_and_bound(grid, starts, node_budget, gap_tol):
                                       sol.basis))
     lower = min([inc_r] + [h[0] for h in heap] + stalled)
     gap = inc_r - lower
-    info = SolveInfo(mode="branch_and_bound", nodes=nodes, lp_iterations=pivots,
+    info = SolveInfo(mode="branch_and_bound", nodes=nodes, lp_solves=solves,
+                     lp_iterations=pivots,
                      lower_bound=float(lower), upper_bound=float(inc_r),
                      gap=float(gap), converged=bool(gap <= gap_tol))
     return GridCertificate(grid, tuple(inc_s), tuple(inc_b), float(inc_r),
@@ -630,8 +677,8 @@ def upperop_search(grid: PriceGrid, restarts: int = 8, *,
     n = work.n
     rngs = (np.random.default_rng(seed + k) for k in range(1, restarts))
     starts = [np.full(n, 1.0 / n)] + [rng.dirichlet(np.ones(n)) for rng in rngs]
-    r, s, b, iters, _, pivots = _best_alternate(work, "upper", starts, 40)
-    info = SolveInfo(mode="upperop_alternating", iterations=iters,
+    r, s, b, iters, _, (solves, pivots) = _best_alternate(work, "upper", starts, 40)
+    info = SolveInfo(mode="upperop_alternating", iterations=iters, lp_solves=solves,
                      lp_iterations=pivots, restarts=restarts, upper_bound=r)
     return GridCertificate(work, s, b, r, "upper", info)
 

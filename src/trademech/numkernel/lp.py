@@ -17,7 +17,10 @@ of loading it a second time (a second copy fails to register its types).
 An LPModel holds a problem and one HiGHS solver object for it. Its
 column bounds, matrix coefficients and right-hand sides can be edited in
 place while the row and column layout stays fixed, so a sequence of
-related LPs builds its matrix once. lp_solve is the one way to solve:
+related LPs builds its matrix once. A caller that rewrites the same
+matrix entries again and again resolves their positions once, with
+LPModel.slots, and then writes only values, with LPModel.set_values,
+which does no lookups. lp_solve is the one way to solve:
 given an LPProblem it builds a throwaway model. Each optimal solution
 carries its basis, and passing that basis to a later solve of a problem
 with the same rows and columns warm-starts the dual simplex from it. A
@@ -140,8 +143,13 @@ class LPModel:
     The edits change column bounds, matrix coefficients and right-hand
     sides; each row keeps its relation, and the numbers of rows and
     columns never change. The model keeps the matrix in column-wise
-    arrays, so an edit is a few array writes; an entry set to zero stays
-    in them, and HiGHS drops it on the way in. lp_solve hands the problem
+    arrays. slots(rows, cols) resolves where a set of entries sits in
+    them, inserting each absent entry as an explicit zero, and
+    set_values(slots, values) then writes values at those positions, a
+    single array write. Explicit zeros stay in the arrays, and HiGHS
+    drops them on the way in. Slots carry their entries' keys, so a
+    set_values after a later insert has moved the entries raises
+    instead of writing to the wrong ones. lp_solve hands the problem
     as it stands to the solver object, which costs about 0.03 ms for the
     16-level node LP of the lower program (1109 rows, 289 columns) and
     makes HiGHS scale the edited matrix afresh. After HiGHS's own in-place
@@ -176,30 +184,47 @@ class LPModel:
 
     def set_bounds(self, cols, lo, hi):
         """Give columns cols the bounds lo <= x <= hi (arrays or scalars)."""
-        if np.isnan(lo).any() or np.isnan(hi).any():
-            raise ValueError("bounds must not be NaN")
+        # the negated test also rejects NaN
+        if not ((np.asarray(lo) < np.inf).all() and (np.asarray(hi) > -np.inf).all()):
+            raise ValueError("bounds must not be NaN, +inf below or -inf above")
         self._lo[cols], self._hi[cols] = lo, hi
 
-    def set_coeffs(self, rows, cols, values):
-        """Set A[rows[k], cols[k]] = values[k] for distinct (row, col) pairs."""
+    def slots(self, rows, cols):
+        """Resolve the positions of the entries A[rows[k], cols[k]], for
+        distinct (row, col) pairs, for later set_values calls.
+
+        An entry the matrix does not hold is inserted as an explicit zero,
+        which moves the positions of the entries after it; one named twice
+        raises ValueError.
+        """
         rows, cols = np.ravel(rows), np.ravel(cols)
-        values = np.broadcast_to(np.asarray(values, dtype=float).ravel(), rows.shape)
-        if not np.isfinite(values).all():
-            raise ValueError("coefficients must be finite")
         if rows.size and (min(rows.min(), cols.min()) < 0 or rows.max() >= self._m
                           or cols.max() >= self._n):
             raise IndexError("coefficient outside the matrix")
         keys = cols.astype(np.int64) * self._m + rows
         pos = np.searchsorted(self._key, keys)
-        found = self._key[np.minimum(pos, self._key.size - 1)] == keys
-        self._value[pos[found]] = values[found]
-        new = ~found & (values != 0.0)
+        # key -1 is no entry's, so a position past the end finds nothing
+        new = np.append(self._key, -1)[pos] != keys
         if new.any():
             order = np.argsort(keys[new])
-            at = pos[new][order]
-            self._key = np.insert(self._key, at, keys[new][order])
-            self._value = np.insert(self._value, at, values[new][order])
+            at, add = pos[new][order], keys[new][order]
+            if (add[1:] == add[:-1]).any():
+                raise ValueError("slots need distinct (row, col) pairs")
+            self._key = np.insert(self._key, at, add)
+            self._value = np.insert(self._value, at, 0.0)
             self._index_rows()
+            pos = np.searchsorted(self._key, keys)
+        return pos, keys
+
+    def set_values(self, slots, values):
+        """Write values[k] to the k-th entry of slots, from slots()."""
+        pos, keys = slots
+        values = np.asarray(values, dtype=float)
+        if not np.isfinite(values).all():
+            raise ValueError("coefficients must be finite")
+        if (self._key[pos] != keys).any():
+            raise ValueError("stale slots: an insert has moved their entries")
+        self._value[pos] = values
 
     def set_rhs(self, rows, rhs):
         """Set the right-hand sides of rows, which keep their relations."""

@@ -24,11 +24,12 @@ from trademech.core import (
 )
 import trademech.factor_revealing as fr
 from trademech.factor_revealing import (
-    GridCertificate, PriceGrid, REFERENCE_GRID_16, _best_alternate, _box_rows,
-    _node_lp, _pinned_rows, _set_box, _row_gains, certificate_from_json,
-    certificate_to_json, convergence_bracket, discretize_distribution,
-    lowerop_solve, one_sided_certify, one_sided_value, opt_quadratic,
-    upperop_search, upperop_to_instance, verify_certificate, welfare_rows,
+    GridCertificate, PriceGrid, REFERENCE_GRID_16, _best_alternate, _box_plan,
+    _box_rows, _half_step, _node_lp, _pinned_rows, _set_box, _row_gains,
+    certificate_from_json, certificate_to_json, convergence_bracket,
+    discretize_distribution, lowerop_solve, one_sided_certify, one_sided_value,
+    opt_quadratic, upperop_search, upperop_to_instance, verify_certificate,
+    welfare_rows,
 )
 from trademech.numkernel import LPModel
 from trademech.numkernel.lp import LPSolution
@@ -101,6 +102,22 @@ def test_pinned_rows_reproduce_welfare_rows(grid):
                 G, h, const = _pinned_rows(grid, fixed, free, inclusive)
                 assert G @ x + const == pytest.approx(want, abs=1e-12)
                 assert h @ x == pytest.approx(opt_quadratic(grid, s, b), abs=1e-12)
+
+
+@pytest.mark.parametrize("grid", ROW_GRIDS)
+def test_pinned_rows_equal_the_unit_vector_sweep(grid):
+    """The closed-form rows are the sweep of the free side's unit vectors
+    bit for bit, also where the fixed masses hold zeros."""
+    n = grid.n
+    p = grid.as_array()
+    rng = np.random.default_rng(12)
+    for _ in range(10):
+        fixed = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.6)
+        for inclusive in (False, True):
+            G, _, _ = _pinned_rows(grid, fixed, "s", inclusive)
+            assert np.array_equal(G, p + _row_gains(grid, np.eye(n), fixed, inclusive).T)
+            G, _, _ = _pinned_rows(grid, fixed, "b", inclusive)
+            assert np.array_equal(G, _row_gains(grid, fixed, np.eye(n), inclusive).T)
 
 
 @pytest.mark.parametrize("grid", ROW_GRIDS)
@@ -371,6 +388,7 @@ def test_box_edits_equal_a_fresh_node_lp(prices):
     rng = np.random.default_rng(7)
     box = (np.zeros(n), np.full(n, cap))
     model = LPModel(_node_lp(grid, *box))
+    plan = _box_plan(model, grid)
     boxes = [box]
     for step in range(25):
         if step % 5 == 4:
@@ -383,12 +401,36 @@ def test_box_edits_equal_a_fresh_node_lp(prices):
                     lo[j] = cut if rng.random() < 0.8 else 0.0
                 else:
                     hi[j] = cut
-        _set_box(model, grid, lo, hi)
+        _set_box(plan, lo, hi)
         box = (lo, hi)
         boxes.append(box)
         got, want = _held_lp(model), _held_lp(LPModel(_node_lp(grid, lo, hi)))
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
+    # the first welfare row's zero on s_0 (p_0 = 0) sits ahead of every
+    # planned entry, so inserting it moves them all: the plan must refuse
+    model.slots([5], [0])
+    with pytest.raises(ValueError):
+        _set_box(plan, lo, hi)
+
+
+@pytest.mark.parametrize("role", ["lower", "upper"])
+@pytest.mark.parametrize("free", ["s", "b"])
+def test_half_step_edits_equal_a_fresh_half_step(free, role):
+    """A half-step model edited through its slots holds exactly the LP a
+    fresh build at the same fixed masses gives, after any sequence of
+    fixed vectors, zeros included."""
+    grid = PriceGrid((0.0, 0.2, 0.5, 1.5, 4.0))
+    rng = np.random.default_rng(13)
+    held = None
+    for _ in range(8):
+        fixed = rng.dirichlet(np.ones(grid.n)) * (rng.random(grid.n) < 0.7)
+        fixed[-1] += 1.0 - fixed.sum()
+        held, got = _half_step(grid, fixed, free, role, held)
+        (fresh, _), want = _half_step(grid, fixed, free, role)
+        for g, w in zip(_held_lp(held[0]), _held_lp(fresh)):
+            assert np.array_equal(g, w)
+        assert got.value == want.value
 
 
 def test_iteration_limited_child_keeps_its_parents_bound(monkeypatch):
@@ -440,6 +482,23 @@ def test_solves_repeat_exactly(solve):
     assert a == b
     assert a.info == b.info
     assert a.info.lp_iterations > 0
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: lowerop_solve(PriceGrid((0.0, 0.2, 0.5, 1.5, 4.0))),
+    lambda: lowerop_solve(PriceGrid((0.0, 0.2, 0.5, 1.5, 4.0)), "alternating"),
+    lambda: upperop_search(PriceGrid((0.0, 0.3, 0.7, 1.4)), restarts=4, seed=3),
+], ids=["bnb", "alternating", "upper"])
+def test_lp_solves_counts_every_lp(solve, monkeypatch):
+    calls = []
+    real = fr.lp_solve
+
+    def counted(prob, basis=None):
+        calls.append(True)
+        return real(prob, basis)
+
+    monkeypatch.setattr(fr, "lp_solve", counted)
+    assert solve().info.lp_solves == len(calls) > 0
 
 
 def random_instance(rng, atoms=4):

@@ -256,7 +256,7 @@ def test_model_edits_match_a_fresh_solve(seed):
         rows, cols = np.divmod(keys, n)
         values = rng.uniform(-1, 1, rows.size) * (rng.random(rows.size) < 0.7)
         A[rows, cols] = values
-        model.set_coeffs(rows, cols, values)
+        model.set_values(model.slots(rows, cols), values)
         k = int(rng.integers(0, m))
         rhs[k] = rng.uniform(-1, 2)
         model.set_rhs([k], rhs[k])
@@ -276,13 +276,43 @@ def test_model_edits_match_a_fresh_solve(seed):
 def test_model_edits_reject_bad_values():
     model = LPModel(lp_problem([1.0, 1.0], [([1.0, 1.0], ">=", 1.0)]))
     with pytest.raises(ValueError):
-        model.set_coeffs([0], [0], [float("nan")])
+        model.set_values(model.slots([0], [0]), [float("nan")])
     with pytest.raises(IndexError):
-        model.set_coeffs([1], [0], [1.0])
+        model.slots([1], [0])
     with pytest.raises(ValueError):
         model.set_rhs([0], float("inf"))
+    for lo, hi in ((float("nan"), 1.0), (0.0, float("nan")),
+                   (float("inf"), float("inf")), (-float("inf"), -float("inf"))):
+        with pytest.raises(ValueError):
+            model.set_bounds([0], lo, hi)
+    model.set_bounds([0, 1], -float("inf"), float("inf"))
+
+
+def test_slots_on_a_matrix_without_entries():
+    """A model whose matrix holds no nonzero takes slots like any other,
+    and its edits solve like a fresh LP of the edited data."""
+    model = LPModel(lp_problem([1.0, 1.0], [([0.0, 0.0], ">=", -1.0)]))
     with pytest.raises(ValueError):
-        model.set_bounds([0], float("nan"), 1.0)
+        model.slots([0, 0], [1, 1])
+    model.set_values(model.slots([0], [0]), [1.0])
+    model.set_rhs([0], 2.0)
+    assert lp_solve(model).value == pytest.approx(2.0)
+
+
+def test_stale_slots_raise():
+    """An insert that moves entries after their slots were resolved makes
+    those slots raise; slots that the insert did not move stay good."""
+    A = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+    model = LPModel(lp_problem([1.0, 1.0, 1.0], [(A, ">=", 1.0)]))
+    ahead, behind = model.slots([1], [0]), model.slots([1], [2])
+    model.slots([0], [2])           # inserted between the two entries
+    model.set_values(ahead, [2.0])
+    with pytest.raises(ValueError):
+        model.set_values(behind, [3.0])
+    model.set_values(model.slots([1], [2]), [3.0])
+    A[1] = [2.0, 0.0, 3.0]
+    assert lp_solve(model).value == pytest.approx(
+        lp_solve(lp_problem([1.0, 1.0, 1.0], [(A, ">=", 1.0)])).value)
 
 
 def _python(code, *path):
