@@ -14,12 +14,17 @@ LP coefficient block from it by sweeping one-hot mass vectors. Atomless
 prices go through `_cdf_gains`, which needs only the price CDF at each
 atom value and four prefix sums over the sellers below each buyer; the
 mean-keyed lotteries' closed-form CDFs use it.
+
+A distribution builds its value, tie and mass arrays on first use and
+keeps them, read-only, for its lifetime; prices and atoms are searched as
+complex (value, tie) keys, which numpy orders lexicographically.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,9 +34,20 @@ _MASS_TOL = 1e-12
 _TIE_RTOL = 1e-12
 
 
+def _read_only(arr):
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class DiscreteDistribution:
-    """Atoms are (value, tie, mass), sorted ascending by (value, tie)."""
+    """Atoms are (value, tie, mass), sorted ascending by (value, tie).
+
+    `values`, `ties`, `masses` and `keys` are numpy arrays built from the
+    atoms on first access and cached on the object; they are read-only,
+    so every caller sees the same arrays. Equality, hashing and repr
+    are those of `atoms` alone.
+    """
 
     atoms: tuple
 
@@ -70,20 +86,31 @@ class DiscreteDistribution:
     def point(cls, value, tie=0.5):
         return cls(((float(value), float(tie), 1.0),))
 
-    @property
+    # cached_property stores into the instance __dict__, which a frozen
+    # dataclass still allows, and leaves the fields untouched.
+    @cached_property
     def values(self):
-        return np.array([v for v, _, _ in self.atoms])
+        return _read_only(np.array([v for v, _, _ in self.atoms], dtype=float))
 
-    @property
+    @cached_property
     def ties(self):
-        return np.array([t for _, t, _ in self.atoms])
+        return _read_only(np.array([t for _, t, _ in self.atoms], dtype=float))
 
-    @property
+    @cached_property
     def masses(self):
-        return np.array([m for _, _, m in self.atoms])
+        return _read_only(np.array([m for _, _, m in self.atoms], dtype=float))
+
+    @cached_property
+    def keys(self):
+        """The atoms' (value, tie) keys, as _keys builds them."""
+        return _read_only(_keys(self.values, self.ties))
+
+    @cached_property
+    def _mean(self):
+        return float(self.values @ self.masses)
 
     def mean(self) -> float:
-        return float(self.values @ self.masses)
+        return self._mean
 
 
 @dataclass(frozen=True, order=True)
@@ -152,21 +179,27 @@ def _gain_sweep(sv, sm, bv, bm, k, j):
 
 
 def _keys(values, ties):
-    """(value, tie) records, which numpy orders lexicographically."""
-    keys = np.empty(len(values), dtype=[("v", float), ("t", float)])
-    keys["v"], keys["t"] = values, ties
+    """(value, tie) pairs as complex numbers, value + tie * 1j.
+
+    numpy sorts, compares and searches complex numbers by real part,
+    then imaginary part: the lexicographic (value, tie) order of prices
+    and atoms. Inputs are finite, so no NaN reaches the order, and
+    -0.0 and 0.0 compare equal, as they do as floats.
+    """
+    keys = np.empty(len(values), dtype=complex)
+    keys.real, keys.imag = values, ties
     return keys
 
 
 def _cleared(inst: Instance, prices) -> np.ndarray:
-    """Gains each price in `prices` (records from _keys) clears.
+    """Gains each price in `prices` (keys from _keys) clears.
 
     A price accepts the seller atoms at or below it, a prefix of length k,
     and the buyer atoms at or above it, a suffix from index j.
     """
     s, b = inst.seller, inst.buyer
-    k = np.searchsorted(_keys(s.values, s.ties), prices, side="right")
-    j = np.searchsorted(_keys(b.values, b.ties), prices, side="left")
+    k = np.searchsorted(s.keys, prices, side="right")
+    j = np.searchsorted(b.keys, prices, side="left")
     return _gain_sweep(s.values, s.masses, b.values, b.masses, k, j)
 
 
@@ -183,16 +216,16 @@ def best_fixed_price(inst: Instance):
     Ties, up to rounding, break toward the smallest (level, tie).
     """
     s, b = inst.seller, inst.buyer
-    cand = np.unique(np.concatenate([_keys(s.values, s.ties),
-                                     _keys(b.values, b.ties)]))
+    cand = np.unique(np.concatenate([s.keys, b.keys]))
     w = s.mean() + _cleared(inst, cand)
     i = int(np.argmax(w >= w.max() * (1.0 - _TIE_RTOL)))
-    return Price(float(cand["v"][i]), float(cand["t"][i])), float(w[i])
+    return Price(float(cand[i].real), float(cand[i].imag)), float(w[i])
 
 
 def scale_instance(inst: Instance, c: float) -> Instance:
-    if c <= 0:
-        raise ValueError("scale factor must be positive")
+    # chained comparisons fail on NaN, so this also rejects it
+    if not 0.0 < c < math.inf:
+        raise ValueError("scale factor must be finite and positive")
     return Instance(
         DiscreteDistribution(tuple((v * c, t, m) for v, t, m in inst.seller.atoms)),
         DiscreteDistribution(tuple((v * c, t, m) for v, t, m in inst.buyer.atoms)))
@@ -234,6 +267,8 @@ class PriceDistribution:
     def __post_init__(self):
         total = 0.0
         for p, prob in self.atoms:
+            if not isinstance(p, Price):
+                raise ValueError(f"price distribution atom {p!r} is not a Price")
             if not 0.0 <= prob < math.inf:
                 raise ValueError("atom probability must be finite and nonnegative")
             total += prob

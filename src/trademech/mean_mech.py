@@ -54,12 +54,21 @@ def _seller_unit_cdf(v):
 
 
 def _buyer_unit_cdf(v):
+    """The buyer lottery's CDF, each piece computed only where it applies.
+
+    The pieces are written from the top down, so at a breakpoint the
+    lower piece wins: 0 up to 0, v/(3-3v) up to 1/2, (4v-1)/3 up to 2/3,
+    (v+1)/3 below 2, then 1 (also for +inf; -inf maps to 0).
+    """
     v = np.asarray(v, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.select(
-            [v <= 0.0, v <= 0.5, v <= 2.0 / 3.0, v < 2.0],
-            [0.0, v / (3.0 - 3.0 * v), (4.0 * v - 1.0) / 3.0, (v + 1.0) / 3.0],
-            default=1.0)
+    out = np.where(v < 2.0, (v + 1.0) / 3.0, 1.0)
+    mid = v <= 2.0 / 3.0
+    out[mid] = (4.0 * v[mid] - 1.0) / 3.0
+    low = v <= 0.5
+    # clamping at 0 spares -inf its -inf/inf; every v <= 0 becomes 0 below
+    u = np.maximum(v[low], 0.0)
+    out[low] = u / (3.0 - 3.0 * u)
+    out[v <= 0.0] = 0.0
     return out
 
 

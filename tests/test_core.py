@@ -2,14 +2,14 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from trademech.core import (
-    DiscreteDistribution, Instance, Price, PriceDistribution,
-    _gain_sweep, best_fixed_price, fixed_price_welfare, instance_from_json,
-    instance_to_json, just_above, just_below, opt_welfare,
-    randomized_welfare, scale_instance,
+    _TIE_RTOL, DiscreteDistribution, Instance, Price, PriceDistribution,
+    _gain_sweep, _keys, best_fixed_price, fixed_price_welfare,
+    instance_from_json, instance_to_json, just_above, just_below,
+    opt_welfare, randomized_welfare, scale_instance,
 )
 
 
@@ -261,11 +261,11 @@ def test_scaling_covariance(inst, c):
 
 
 def test_scale_rejects_nonpositive():
-    inst = Instance.from_values([(1.0, 1.0)], [(2.0, 1.0)])
-    with pytest.raises(ValueError):
-        scale_instance(inst, 0.0)
-    with pytest.raises(ValueError):
-        scale_instance(inst, -2.0)
+    # a zero value times inf would be NaN: the factor is rejected first
+    inst = Instance.from_values([(0.0, 0.5), (1.0, 0.5)], [(2.0, 1.0)])
+    for c in (0.0, -2.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="scale factor must be finite and positive"):
+            scale_instance(inst, c)
 
 
 def test_scale_normalizes_opt():
@@ -292,6 +292,23 @@ def test_distribution_validation():
         DiscreteDistribution(((1.0, 0.5, 0.7),))                    # mass != 1
     with pytest.raises(ValueError):
         DiscreteDistribution(((1.0, 1.5, 1.0),))                    # tie outside
+
+
+def test_distribution_arrays_are_cached_and_read_only():
+    d = DiscreteDistribution(((0.5, 0.0, 0.25), (0.5, 1.0, 0.25), (2.0, 0.5, 0.5)))
+    twin = DiscreteDistribution(d.atoms)
+    arrays = {"values": [0.5, 0.5, 2.0], "ties": [0.0, 1.0, 0.5],
+              "masses": [0.25, 0.25, 0.5], "keys": [0.5, 0.5 + 1j, 2.0 + 0.5j]}
+    for name, expected in arrays.items():
+        arr = getattr(d, name)
+        assert getattr(d, name) is arr
+        assert np.array_equal(arr, expected)
+        with pytest.raises(ValueError):
+            arr[0] = 7.0
+    assert d.mean() == 1.25
+    # the caches leave equality, hashing and repr to the atoms
+    assert d == twin and hash(d) == hash(twin) and repr(d) == repr(twin)
+    assert repr(d) == f"DiscreteDistribution(atoms={d.atoms!r})"
 
 
 def test_price_validation():
@@ -336,6 +353,13 @@ def test_price_distribution_mass_checked():
         PriceDistribution(atoms=((Price(1.0), 0.7),))
 
 
+def test_price_distribution_rejects_non_price_atoms():
+    with pytest.raises(ValueError, match="is not a Price"):
+        PriceDistribution(((1.0, 1.0),))
+    with pytest.raises(ValueError, match="is not a Price"):
+        PriceDistribution(((Price(1.0), 0.5), ((1.0, 0.5), 0.5)))
+
+
 def oracle_randomized(inst, pd):
     """Each atom price through oracle_fixed, weighted by its probability."""
     es = sum(v * m for v, _, m in inst.seller.atoms)
@@ -361,6 +385,90 @@ def price_distributions():
 def test_randomized_welfare_matches_pair_loop(inst, pd):
     assert randomized_welfare(inst, pd) == pytest.approx(
         oracle_randomized(inst, pd), rel=1e-12, abs=1e-12)
+
+
+# ------------------------------------------------ complex (value, tie) keys
+
+def record_keys(values, ties):
+    """(value, tie) as structured records, which numpy also orders
+    lexicographically: the reference for the complex keys."""
+    keys = np.empty(len(values), dtype=[("v", float), ("t", float)])
+    keys["v"], keys["t"] = values, ties
+    return keys
+
+
+def record_cleared(inst, prices):
+    s, b = inst.seller, inst.buyer
+    k = np.searchsorted(record_keys(s.values, s.ties), prices, side="right")
+    j = np.searchsorted(record_keys(b.values, b.ties), prices, side="left")
+    return _gain_sweep(s.values, s.masses, b.values, b.masses, k, j)
+
+
+def record_best_fixed_price(inst):
+    s, b = inst.seller, inst.buyer
+    cand = np.unique(np.concatenate([record_keys(s.values, s.ties),
+                                     record_keys(b.values, b.ties)]))
+    w = s.mean() + record_cleared(inst, cand)
+    i = int(np.argmax(w >= w.max() * (1.0 - _TIE_RTOL)))
+    return Price(float(cand["v"][i]), float(cand["t"][i])), float(w[i])
+
+
+def signed_zero(d, flip):
+    """d with a value of 0.0 written as -0.0 when flip is set."""
+    return DiscreteDistribution(tuple((-0.0 if flip and v == 0.0 else v, t, m)
+                                      for v, t, m in d.atoms))
+
+
+signed_zero_instances = st.tuples(lattice_dists(), lattice_dists(), st.booleans(),
+                                  st.booleans()).map(
+    lambda a: Instance(signed_zero(a[0], a[2]), signed_zero(a[1], a[3])))
+SIGNED_ZERO_PAIR = Instance(
+    DiscreteDistribution(((-0.0, 0.5, 0.5), (0.25, 0.0, 0.5))),
+    DiscreteDistribution(((0.0, 0.5, 0.25), (0.0, 1.0, 0.25), (0.5, 0.5, 0.5))))
+
+
+def probe_keys(inst):
+    """Every atom key of both sides, midpoints between levels, both
+    zeros at every tie rank and a point past the top."""
+    pairs = [(v, t) for v, t, _ in inst.seller.atoms + inst.buyer.atoms]
+    levels = sorted({v for v, _ in pairs})
+    pairs += [(0.5 * (a + b), 0.5) for a, b in zip(levels, levels[1:])]
+    pairs += [(z, t) for z in (0.0, -0.0) for t in (0.0, 0.5, 1.0)]
+    pairs.append((levels[-1] + 1.0, 0.5))
+    return [p for p, _ in pairs], [t for _, t in pairs]
+
+
+@given(signed_zero_instances)
+@example(SIGNED_ZERO_PAIR)
+@settings(max_examples=80, deadline=None)
+def test_complex_keys_search_and_unique_like_records(inst):
+    s, b = inst.seller, inst.buyer
+    assert np.array_equal(s.keys, _keys(s.values, s.ties))
+    pv, pt = probe_keys(inst)
+    for d in (s, b):
+        for side in ("left", "right"):
+            assert np.array_equal(np.searchsorted(d.keys, _keys(pv, pt), side=side),
+                                  np.searchsorted(record_keys(d.values, d.ties),
+                                                  record_keys(pv, pt), side=side))
+    got = np.unique(np.concatenate([s.keys, b.keys]))
+    ref = np.unique(np.concatenate([record_keys(s.values, s.ties),
+                                    record_keys(b.values, b.ties)]))
+    assert np.array_equal(got.real, ref["v"]) and np.array_equal(got.imag, ref["t"])
+
+
+@given(signed_zero_instances, price_distributions())
+@example(SIGNED_ZERO_PAIR, PriceDistribution(((Price(-0.0), 0.5), (Price(0.0, 1.0), 0.5))))
+@settings(max_examples=80, deadline=None)
+def test_welfare_evaluators_equal_the_record_key_path(inst, pd):
+    assert best_fixed_price(inst) == record_best_fixed_price(inst)
+    es = inst.seller.mean()
+    for level, tie in zip(*probe_keys(inst)):
+        price = Price(level, tie)
+        assert fixed_price_welfare(inst, price) == es + float(
+            record_cleared(inst, record_keys([level], [tie]))[0])
+    probs = np.array([prob for _, prob in pd.atoms])
+    prices = record_keys([p.level for p, _ in pd.atoms], [p.tie for p, _ in pd.atoms])
+    assert randomized_welfare(inst, pd) == es + float(probs @ record_cleared(inst, prices))
 
 
 # ------------------------------------------------------------------- JSON

@@ -12,7 +12,7 @@ import mean_oracles as mo
 from trademech.core import (DiscreteDistribution, Instance, opt_welfare,
                             scale_instance)
 from trademech.mean_mech import (BUYER_MEAN, SELLER_MEAN, MeanMechanism,
-                                 _local_minimum, family_objective,
+                                 _buyer_unit_cdf, _local_minimum, family_objective,
                                  mean_mech_price_cdf, mean_mech_welfare,
                                  two_thirds_hardness, verify_two_thirds)
 
@@ -83,6 +83,36 @@ def test_price_cdf_matches_oracle_pieces():
     for v in np.linspace(0.0, 2.2, 45):
         assert mean_mech_price_cdf(mb, v) == pytest.approx(
             mo.buyer_cdf(v), abs=1e-15)
+
+
+def select_buyer_cdf(v):
+    """The buyer CDF as np.select over all four pieces: the reference
+    for the piecewise writes."""
+    v = np.asarray(v, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.select(
+            [v <= 0.0, v <= 0.5, v <= 2.0 / 3.0, v < 2.0],
+            [0.0, v / (3.0 - 3.0 * v), (4.0 * v - 1.0) / 3.0, (v + 1.0) / 3.0],
+            default=1.0)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_buyer_cdf_equals_select_reference():
+    brk = np.array([0.0, 0.5, 2.0 / 3.0, 1.0, 2.0])
+    pts = np.concatenate([brk, np.nextafter(brk, -np.inf), np.nextafter(brk, np.inf),
+                          [-0.0, -1.0, 0.25, 1.5, 3.0, -np.inf, np.inf],
+                          np.random.default_rng(11).uniform(-1.0, 3.0, 200)])
+    for v in pts:
+        got = _buyer_unit_cdf(v)
+        assert got.shape == () and np.array_equal(got, select_buyer_cdf(v)), v
+    assert np.array_equal(_buyer_unit_cdf(pts), select_buyer_cdf(pts))
+    # a read-only, zero-stride broadcast view and a 4-d broadcast product
+    view = np.broadcast_to(pts, (2, 3, 1, len(pts)))
+    assert np.array_equal(_buyer_unit_cdf(view), select_buyer_cdf(view))
+    grid = pts[:, None, None, None] * np.array([1.0, 0.5])[:, None, None] \
+        + np.array([0.0, 1.0 / 3.0, -0.5])[:, None] + np.array([0.0, 0.1])
+    assert grid.ndim == 4
+    assert np.array_equal(_buyer_unit_cdf(grid), select_buyer_cdf(grid))
 
 
 def test_welfare_point_examples():
