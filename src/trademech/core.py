@@ -13,7 +13,8 @@ takes mass arrays with leading batch axes, so the grid programs get every
 LP coefficient block from it by sweeping one-hot mass vectors. Atomless
 prices go through `_cdf_gains`, which needs only the price CDF at each
 atom value and four prefix sums over the sellers below each buyer; the
-mean-keyed lotteries' closed-form CDFs use it.
+mean-keyed lotteries' closed-form CDFs use it. `opt_welfare` takes two
+such sums from the same helper, `_sums_below`.
 
 A distribution builds its value, tie and mass arrays on first use and
 keeps them, read-only, for its lifetime; prices and atoms are searched as
@@ -149,11 +150,22 @@ class Instance:
 
 
 def opt_welfare(inst: Instance) -> float:
-    """E[max(S, B)] over the product distribution; ties are irrelevant."""
-    sv = inst.seller.values[:, None]
-    bv = inst.buyer.values[None, :]
-    w = inst.seller.masses[:, None] * inst.buyer.masses[None, :]
-    return float((w * np.maximum(sv, bv)).sum())
+    """E[max(S, B)] over the product distribution; ties are irrelevant.
+
+    E[max(S, B)] = E[S] + E[(B - S)^+]. A buyer atom b gains b*S0 - S1
+    over the sellers strictly below it, with S0 and S1 their mass and
+    mass x value sums; a pair with s = b gains nothing.
+    """
+    s, b = inst.seller, inst.buyer
+    s0, s1 = _sums_below(inst, s.masses, s.masses * s.values)
+    return s.mean() + float(b.masses @ (b.values * s0 - s1))
+
+
+def _sums_below(inst: Instance, *weights):
+    """Per buyer atom, each seller weight array summed over the seller
+    atoms whose value lies strictly below the buyer's."""
+    below = np.searchsorted(inst.seller.values, inst.buyer.values, side="left")
+    return [np.concatenate(([0.0], w.cumsum()))[below] for w in weights]
 
 
 def _gain_sweep(sv, sm, bv, bm, k, j):
@@ -291,9 +303,7 @@ def _cdf_gains(inst: Instance, cdf) -> float:
     sv, sm = inst.seller.values, inst.seller.masses
     bv, bm = inst.buyer.values, inst.buyer.masses
     fs, fb = cdf(sv), cdf(bv)
-    below = np.searchsorted(sv, bv, side="left")
-    c0, cf, c1, c1f = (np.concatenate([[0.0], np.cumsum(x)])[below]
-                       for x in (sm, sm * fs, sm * sv, sm * sv * fs))
+    c0, cf, c1, c1f = _sums_below(inst, sm, sm * fs, sm * sv, sm * sv * fs)
     return float(bm @ (bv * fb * c0 - bv * cf - fb * c1 + c1f))
 
 

@@ -150,51 +150,46 @@ def family_objective(side, x, p, y):
     return out
 
 
-# Elements per block of the family scan: a few float64 temporaries of
-# this size stay in a core's cache.
+# Elements per block of the coarse scan; it bounds the float64
+# temporaries (2 MB each) of one `family_objective` call. Smaller blocks
+# made the scan slower. Rescan blocks, whose sizes vary by group, hold
+# half as many: at the full size glibc returned their freed heap to the
+# OS and faulted it back in for nearly every group.
 _BLOCK = 1 << 18
 _OFFSETS = np.linspace(-0.5, 0.5, 21)
-
-
-def _axis_trims(vals):
-    """Per row of clipped, sorted coordinates, how many exact repeats of
-    the lowest and of the highest value follow the first copy."""
-    lo = np.sum(vals == vals[:, :1], axis=1) - 1
-    hi = np.sum(vals == vals[:, -1:], axis=1) - 1
-    return lo, hi
 
 
 def _local_minimum(side, pts, step, best, best_arg):
     """Rescan a half-step neighborhood of each flagged point at a twenty
     times finer resolution: 21 offsets per axis, clipped to the box.
 
-    Offsets that clip to the same face coordinate would repeat one
-    point, so each axis keeps one copy per end. Points are grouped by
-    how many copies every axis drops at each end, so a group's distinct
-    neighborhoods are still rectangular, and each group is evaluated in
-    blocks of about _BLOCK elements.
+    Points sharing their (x, p) share those two axes, so a group's
+    neighborhoods together are one rectangular product: its clipped x
+    and p offsets times the sorted union of its members' y offsets.
+    Taking each axis's distinct values evaluates every distinct point of
+    the union once, repeated clipped faces and overlapping neighbors
+    included. y runs last and long; blocks split along x and hold at
+    most about _BLOCK / 2 elements.
     """
-    axes = (np.clip(pts[:, 0, None] + _OFFSETS * step, 0.0, 1.0),
-            np.clip(pts[:, 1, None] + _OFFSETS * step, 0.0, 1.0 - 1e-9),
-            np.maximum(pts[:, 2, None] + _OFFSETS * step, 0.0))
-    trims = np.column_stack([t for vals in axes for t in _axis_trims(vals)])
-    keys, group = np.unique(trims, axis=0, return_inverse=True)
-    for g, key in enumerate(keys):
-        members = np.flatnonzero(group.ravel() == g)
-        cuts = [slice(head, len(_OFFSETS) - tail)
-                for head, tail in zip(key[::2], key[1::2])]
-        size = np.prod([cut.stop - cut.start for cut in cuts])
-        per_block = max(1, _BLOCK // int(size))
-        for lo in range(0, len(members), per_block):
-            rows = members[lo:lo + per_block]
-            xs, ps, ys = (vals[rows, cut] for vals, cut in zip(axes, cuts))
-            obj = family_objective(side, xs[:, :, None, None],
-                                   ps[:, None, :, None], ys[:, None, None, :])
-            k = int(np.argmin(obj))
-            w, i, j, l = np.unravel_index(k, obj.shape)
-            if obj[w, i, j, l] < best:
-                best = float(obj[w, i, j, l])
-                best_arg = (float(xs[w, i]), float(ps[w, j]), float(ys[w, l]))
+    offsets = _OFFSETS * step
+    # (x, p) as complex keys, x + p*1j: numpy sorts them lexicographically
+    # and far faster than rows of a two-column array
+    keys, group, counts = np.unique(pts[:, 0] + 1j * pts[:, 1],
+                                    return_inverse=True, return_counts=True)
+    members = np.split(np.argsort(group), np.cumsum(counts)[:-1])
+    for key, rows in zip(keys, members):
+        xs = np.unique(np.clip(key.real + offsets, 0.0, 1.0))
+        ps = np.unique(np.clip(key.imag + offsets, 0.0, 1.0 - 1e-9))
+        ys = np.unique(np.maximum(pts[rows, 2, None] + offsets, 0.0))
+        chunk = max(1, _BLOCK // 2 // (len(ps) * len(ys)))
+        for lo in range(0, len(xs), chunk):
+            xb = xs[lo:lo + chunk]
+            obj = family_objective(side, xb[:, None, None], ps[None, :, None],
+                                   ys[None, None, :])
+            i, j, l = np.unravel_index(int(np.argmin(obj)), obj.shape)
+            if obj[i, j, l] < best:
+                best = float(obj[i, j, l])
+                best_arg = (float(xb[i]), float(ps[j]), float(ys[l]))
     return best, best_arg
 
 
@@ -206,10 +201,11 @@ def verify_two_thirds(side, *, step=0.005):
     past the lottery's support so the linear tail is represented. Any
     grid point whose objective is within 1e-4 of zero gets a finer local
     rescan (`_local_minimum`), guarding against minima that fall between
-    grid points; the rescan visits each distinct clipped point of a
-    neighborhood once. Both passes evaluate `family_objective` in its
-    reduced form, in blocks of about _BLOCK elements. A minimum at or
-    above -1e-9 certifies the guarantee on the scanned family.
+    grid points; the rescan evaluates each distinct point of the union of
+    the flagged points' neighborhoods once. Both passes evaluate
+    `family_objective` in its reduced form, in blocks of at most about
+    _BLOCK elements. A minimum at or above -1e-9 certifies the guarantee
+    on the scanned family.
     """
     _check_side(side)
     if not 0.0 < step < np.inf:

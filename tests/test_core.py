@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -16,9 +17,9 @@ from trademech.core import (
 # ---------------------------------------------------------------- oracles
 
 def oracle_opt(inst):
-    return sum(sm * bm * max(sv, bv)
-               for sv, _, sm in inst.seller.atoms
-               for bv, _, bm in inst.buyer.atoms)
+    return math.fsum(sm * bm * max(sv, bv)
+                     for sv, _, sm in inst.seller.atoms
+                     for bv, _, bm in inst.buyer.atoms)
 
 
 def oracle_fixed(inst, level, tie):
@@ -100,9 +101,14 @@ def test_opt_hardness_shape():
     assert opt_welfare(inst) == pytest.approx(1.998001, abs=1e-12)
 
 
-@given(instances)
-@settings(max_examples=80, deadline=None)
+@given(st.one_of(instances, tie_instances))
+@settings(max_examples=120, deadline=None)
+@example(Instance.from_values([(1e6, 0.5), (1e6 + 1.0, 0.5)],
+                              [(1e6 + 0.5, 0.25), (1e6 + 1.0, 0.75)]))
 def test_opt_matches_oracle(inst):
+    """The prefix-sum form against every pair summed exactly; the
+    lattice instances share values across sides, where s = b adds 0,
+    and the example puts close values far from zero."""
     assert opt_welfare(inst) == pytest.approx(oracle_opt(inst), rel=1e-12)
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import mean_oracles as mo
+from trademech import mean_mech
 from trademech.core import (DiscreteDistribution, Instance, opt_welfare,
                             scale_instance)
 from trademech.mean_mech import (BUYER_MEAN, SELLER_MEAN, MeanMechanism,
@@ -316,9 +317,18 @@ def test_objective_matches_quadrature():
                 mo.objective_quad(side, x, p, y), abs=1e-9)
 
 
+# frozen minima of the scan at step 0.02; how the rescan groups its points
+# sets only the order they are evaluated in, so these hold to the bit
+SCAN_MINIMA_002 = {
+    BUYER_MEAN: -8.326672684688674e-17,
+    SELLER_MEAN: -5.551115123125783e-17,
+}
+
+
 def test_verify_certifies_guarantee_on_coarse_grid():
     for side in SIDES:
         mn, arg = verify_two_thirds(side, step=0.02)
+        assert mn == SCAN_MINIMA_002[side]
         assert mn >= -1e-9
         assert abs(mn) <= 1e-9
         x, p, y = arg
@@ -358,6 +368,51 @@ def test_rescan_matches_full_neighborhoods_on_faces(side):
         assert got == pytest.approx(want, abs=1e-12), pt
         assert float(mo.objective_direct(side, x, p, y)) == \
             pytest.approx(got, abs=1e-12), pt
+
+
+@pytest.mark.parametrize("side", SIDES)
+@pytest.mark.parametrize("seed", (3, 4))
+def test_union_rescan_evaluates_each_distinct_point_once(side, seed, monkeypatch):
+    """Grouped by (x, p), the rescan finds the minimum of the members'
+    full neighborhoods and evaluates every distinct point of their union
+    exactly once. Members share an (x, p) along adjacent y's and across
+    gaps in y, and sit on the x = 0, x = 1, p = 0 and y = 0 faces, within
+    a half step of p = 1, and off every face."""
+    rng = np.random.default_rng(seed)
+    step = 0.03
+    cap = 3.0 if side == SELLER_MEAN else 2.0
+    rows = []
+    for x in (0.0, 1.0, step * rng.integers(1, 33)):
+        for p in (0.0, 1.0 - 0.3 * step, step * rng.integers(1, 33)):
+            k = rng.integers(0, 4) if rows else 0
+            rows += [(x, p, (k + i) * step) for i in (0, 1, 2, 5, 8, 9)]
+    rows += list(zip(rng.uniform(0, 1, 8), rng.uniform(0, 1 - 1e-9, 8),
+                     rng.uniform(0, cap + 1.0, 8)))
+    pts = np.array(rows)[rng.permutation(len(rows))]
+
+    offsets = np.linspace(-0.5, 0.5, 21) * step
+    near = np.broadcast_arrays(
+        np.clip(pts[:, 0, None, None, None] + offsets[:, None, None], 0.0, 1.0),
+        np.clip(pts[:, 1, None, None, None] + offsets[:, None], 0.0, 1.0 - 1e-9),
+        np.maximum(pts[:, 2, None, None, None] + offsets, 0.0))
+    rows = np.column_stack([a.ravel() for a in near])
+    rows = rows[np.lexsort(rows.T)]
+    distinct = 1 + np.count_nonzero(np.any(rows[1:] != rows[:-1], axis=1))
+
+    evaluated = []
+    objective = family_objective
+
+    def counted(*args):
+        out = objective(*args)
+        evaluated.append(out.size)
+        return out
+
+    monkeypatch.setattr(mean_mech, "family_objective", counted)
+    got, (x, p, y) = _local_minimum(side, pts, step, np.inf, None)
+    assert sum(evaluated) == distinct
+    assert got == pytest.approx(mo.neighborhood_minima(side, pts, step).min(),
+                                abs=1e-12)
+    assert float(mo.objective_direct(side, x, p, y)) == pytest.approx(got, abs=1e-12)
 
 
 def test_verify_min_nonincreasing_under_refinement():
