@@ -180,14 +180,14 @@ def _gain_sweep(sv, sm, bv, bm, k, j):
     last axis, the batch axes of the two sides broadcast, and the result
     has shape batch + k.shape.
     """
-    def prefix(x):
-        # sums of x[..., :i] for i = 0 .. len, along the last axis
-        return np.concatenate([np.zeros(x.shape[:-1] + (1,)),
-                               np.cumsum(x, axis=-1)], axis=-1)
-
-    s0, s1 = prefix(sm), prefix(sm * sv)
-    b0, b1 = (prefix(x[..., ::-1])[..., ::-1] for x in (bm, bm * bv))
-    return s0[..., k] * b1[..., j] - s1[..., k] * b0[..., j]
+    s = np.zeros((2,) + sm.shape[:-1] + (sm.shape[-1] + 1,))     # S0, S1 from 0
+    np.add.accumulate(sm, axis=-1, out=s[0, ..., 1:])
+    np.add.accumulate(sm * sv, axis=-1, out=s[1, ..., 1:])
+    b = np.zeros((2,) + bm.shape[:-1] + (bm.shape[-1] + 1,))
+    np.add.accumulate(bm[..., ::-1], axis=-1, out=b[0, ..., -2::-1])
+    np.add.accumulate((bm * bv)[..., ::-1], axis=-1, out=b[1, ..., -2::-1])
+    s, b = s[..., k], b[..., j]
+    return s[0] * b[1] - s[1] * b[0]
 
 
 def _keys(values, ties):

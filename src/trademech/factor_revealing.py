@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .core import (Instance, DiscreteDistribution, _gain_sweep, best_fixed_price,
-                   opt_welfare)
+from .core import (Instance, DiscreteDistribution, _gain_sweep, _read_only,
+                   best_fixed_price, opt_welfare)
 from .numkernel import LPModel, lp_problem, lp_solve
 # Unused here; the benchmark's tracer wraps it under this module's name.
 from .numkernel import certified_binary_search  # noqa: F401
@@ -28,7 +29,11 @@ from .numkernel import certified_binary_search  # noqa: F401
 
 @dataclass(frozen=True)
 class PriceGrid:
-    """Strictly increasing nonnegative price levels, at least two of them."""
+    """Strictly increasing nonnegative price levels, at least two of them.
+
+    Arrays built on first use, kept read-only: `levels`, the prices;
+    `pair_max`, max(p_i, p_j) at [i, j]; `above`, i > t at [t, i].
+    """
 
     prices: tuple
 
@@ -43,12 +48,21 @@ class PriceGrid:
         if np.any(np.diff(arr) <= 0):
             raise ValueError("price levels must be strictly increasing")
 
-    @property
+    @cached_property
     def n(self) -> int:
         return len(self.prices)
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.prices)
+    @cached_property
+    def levels(self) -> np.ndarray:
+        return _read_only(np.array(self.prices))
+
+    @cached_property
+    def pair_max(self) -> np.ndarray:
+        return _read_only(np.maximum.outer(self.levels, self.levels))
+
+    @cached_property
+    def above(self) -> np.ndarray:
+        return _read_only(np.triu(np.ones((self.n, self.n), dtype=bool), 1))
 
     def scaled(self, c: float) -> "PriceGrid":
         if c <= 0:
@@ -126,17 +140,16 @@ def _row_gains(grid, s, b, inclusive) -> np.ndarray:
     buyer strictly above. s and b may carry leading batch axes, which
     broadcast; the last axis of the result runs over the levels.
     """
-    p = grid.as_array()
-    t = np.arange(grid.n)
-    return _gain_sweep(p, s, p, b, t + 1 if inclusive else t, t + 1)
+    p = grid.levels
+    t = np.arange(grid.n + 1)
+    return _gain_sweep(p, s, p, b, t[1:] if inclusive else t[:-1], t[1:])
 
 
 def welfare_rows(grid, s, b, *, inclusive) -> np.ndarray:
     """Welfare of each grid price against mass vectors s and b: row t is
     sum_i s_i p_i plus the gains the price at level t clears."""
-    s = np.asarray(s, dtype=float)
-    b = np.asarray(b, dtype=float)
-    return float(s @ grid.as_array()) + _row_gains(grid, s, b, inclusive)
+    s, b = np.asarray(s, dtype=float), np.asarray(b, dtype=float)
+    return float(s @ grid.levels) + _row_gains(grid, s, b, inclusive)
 
 
 def _pinned_rows(grid, fixed, free, inclusive):
@@ -152,26 +165,27 @@ def _pinned_rows(grid, fixed, free, inclusive):
     free s: G[t, i] = p_i + [i < k_t] (B1[t + 1] - p_i B0[t + 1]);
     free b: G[t, j] = [j >= t + 1] (S0[k_t] p_j - S1[k_t]).
     """
-    p = grid.as_array()
+    p = grid.levels
     fixed = np.asarray(fixed, dtype=float)
     n = grid.n
-    h = np.maximum.outer(p, p) @ fixed
+    h = grid.pair_max @ fixed
     # the mass and mass x price rows, padded with the zero the sums start from
     x = np.zeros((2, n + 1))
     if free == "s":
         x[0, :n], x[1, :n] = fixed, fixed * p
-        b0, b1 = np.add.accumulate(x[:, ::-1], axis=1)[:, -2::-1, None]
-        return p + np.tril(b1 - p * b0, inclusive - 1), h, 0.0
+        b = np.add.accumulate(x[:, ::-1], axis=1)[:, -2::-1, None]    # B0, B1
+        # [i < k_t] is not above[t, i] when inclusive, above[i, t] when not
+        gain = b[1] - p * b[0]
+        return p + (np.where(grid.above, 0.0, gain) if inclusive
+                    else np.where(grid.above.T, gain, 0.0)), h, 0.0
     x[0, 1:], x[1, 1:] = fixed, fixed * p
-    s0, s1 = np.add.accumulate(x, axis=1)[:, inclusive:n + inclusive, None]
-    return np.triu(s0 * p - s1, 1), h, float(fixed @ p)
+    s = np.add.accumulate(x, axis=1)[:, inclusive:n + inclusive, None]  # S0, S1
+    return np.where(grid.above, s[0] * p - s[1], 0.0), h, float(fixed @ p)
 
 
 def opt_quadratic(grid, s, b) -> float:
     """The two-sided optimum proxy sum_ij s_i b_j max(p_i, p_j)."""
-    p = grid.as_array()
-    return float(np.asarray(s, dtype=float)
-                 @ np.maximum.outer(p, p)
+    return float(np.asarray(s, dtype=float) @ grid.pair_max
                  @ np.asarray(b, dtype=float))
 
 
@@ -185,7 +199,7 @@ def discretize_distribution(d: DiscreteDistribution, grid: PriceGrid) -> np.ndar
     dominate the distribution's CDF at every level, and its inner product
     with the grid reproduces the mean.
     """
-    p = grid.as_array()
+    p = grid.levels
     v, m = d.values, d.masses
     if np.any(v < p[0]):
         raise ValueError("distribution has mass below the bottom price level")
@@ -210,7 +224,7 @@ def discretize_distribution(d: DiscreteDistribution, grid: PriceGrid) -> np.ndar
 
 def _check_discretization(d, grid, s):
     # These hold by construction, so a failure here means a bug, not bad input.
-    p = grid.as_array()
+    p = grid.levels
     mean = d.mean()
     tol = 1e-12 * max(1.0, mean)
     total = float(s.sum())
@@ -268,7 +282,7 @@ def verify_certificate(c: GridCertificate) -> CertificateReport:
     the maximum welfare row (an upper-role certificate must be tight in
     that sense before it can be turned into a hard instance).
     """
-    p = c.grid.as_array()
+    p = c.grid.levels
     s = np.asarray(c.s)
     b = np.asarray(c.b)
     rows = welfare_rows(c.grid, s, b, inclusive=(c.role == "upper"))
@@ -309,56 +323,53 @@ def _half_step(grid, fixed, free, role, held=None, basis=None):
     """One LP over (free side, r) with the other side's masses held fixed.
 
     The quadratic optimum constraint is linear once a side is pinned, so
-    each half problem is an honest LP, no relaxation involved. Its rows
-    are the mass window (two rows, or one equality), h, then G, and only
-    h, G and G's right-hand sides depend on the fixed masses. So the
-    first half-step on a side builds the model and resolves the slots of
-    its h and G entries once; held, the (model, slots) pair of an earlier
-    half-step on the same side, then takes this one's values, and basis
-    warm-starts the solve. Returns ((model, slots), solution): the free
-    side's masses are x[:n] and r its value.
+    each half problem is an honest LP, no relaxation involved. Both sides'
+    rows are the mass window (two rows, or one equality), h, then G, and
+    only h, G and G's right-hand sides depend on the fixed masses, so one
+    model serves both: the first half-step builds it with placeholders in
+    h and G and resolves their slots, and every half-step writes its own
+    values there. held, the (model, slots) of an earlier half-step, skips
+    the build; basis warm-starts the solve. Returns (held, solution).
     """
     n = grid.n
     G, h, const = _pinned_rows(grid, fixed, free, role == "upper")
-    rows = (2 if role == "lower" else 1) + np.arange(n + 1)
+    h_row = 2 if role == "lower" else 1       # after the mass window
     if held is None:
         ones = np.append(np.ones(n), 0.0)
         cap = 1.0 + 1.0 / grid.prices[-1]
         cons = ([(ones, ">=", 1.0), (ones, "<=", cap)] if role == "lower"
                 else [(ones, "=", 1.0)])
-        cons.append((np.append(h, 0.0), ">=", 1.0))
-        cons.append((np.column_stack([G, -np.ones(n)]), "<=", -const))
+        G_rows = np.append(np.ones((n, n)), -np.ones((n, 1)), axis=1)
+        cons += [(ones, ">=", 1.0), (G_rows, "<=", -const)]
         model = LPModel(lp_problem(np.append(np.zeros(n), 1.0), cons))
-        held = model, model.slots(np.repeat(rows, n), np.tile(np.arange(n), n + 1))
-    else:
-        model, slots = held
-        model.set_values(slots, np.concatenate([h, G.ravel()]))
-        if free == "b":         # with s free, const is always 0
-            model.set_rhs(rows[1:], -const)
+        row, col = np.divmod(np.arange((n + 1) * n), n)
+        held = model, model.slots(h_row + row, col)
+    model, slots = held
+    model.set_values(slots, np.concatenate([h, G.ravel()]))
+    model.set_rhs(slice(h_row + 1, h_row + 1 + n), -const)
     sol = lp_solve(model, basis)
     if sol.status != "optimal":
         raise RuntimeError(f"half step LP came back {sol.status}")
     return held, sol
 
 
-def _alternate(grid, role, b0, rounds, models):
+def _alternate(grid, role, b0, rounds, held):
     """Alternate the two half LPs from a starting buyer vector.
 
     The objective never increases: the previous half's optimum stays
     feasible for the next, so the sequence of r values is monotone and the
     loop stops once it stalls. The fixed point is a feasible certificate
-    whose r only upper-bounds the program's global minimum. models maps
-    each side to the (model, slots) pair its half-steps edit (None until
-    one is built), and each half-step after a side's first starts from
-    the basis of the one before. Returns (s, b, r, rounds run, whether
-    the run stalled, (LPs solved, simplex iterations)).
+    whose r only upper-bounds the program's global minimum. held[0] is
+    the model the half-steps share (None until built); a side's later
+    half-steps start from the basis of the one before.
+    Returns (s, b, r, rounds, stalled, (LPs solved, simplex iterations)).
     """
     n = grid.n
     bases = {"s": None, "b": None}
     lp = [0, 0]
 
     def step(fixed, free):
-        models[free], sol = _half_step(grid, fixed, free, role, models[free], bases[free])
+        held[0], sol = _half_step(grid, fixed, free, role, held[0], bases[free])
         bases[free] = sol.basis
         lp[0] += 1
         lp[1] += sol.iterations
@@ -378,18 +389,18 @@ def _alternate(grid, role, b0, rounds, models):
     return s, b, float(rows.max()), done, stalled, tuple(lp)
 
 
-def _best_alternate(grid, role, starts, rounds, models=None):
+def _best_alternate(grid, role, starts, rounds, held=None):
     """Run the alternating descent from each starting buyer vector and
     keep the lowest (r, s, b). Returns r, s, b, the rounds run over all
     starts, whether the kept run stalled, and (LPs solved, simplex
-    iterations) over all starts. The starts share one model per side,
-    kept in models (see _alternate) when the caller passes that dict."""
+    iterations) over all starts. The starts share one half-step model,
+    kept in held (see _alternate) when the caller passes that list."""
     best = None
     total = solves = pivots = 0
-    models = {"s": None, "b": None} if models is None else models
+    held = [None] if held is None else held
     for b0 in starts:
         s, b, r, done, stalled, (run_solves, run_pivots) = _alternate(
-            grid, role, b0, rounds, models)
+            grid, role, b0, rounds, held)
         total += done
         solves += run_solves
         pivots += run_pivots
@@ -430,7 +441,7 @@ def lowerop_solve(grid: PriceGrid, mode: str = "branch_and_bound", *,
     # and the bottom two levels. The uniform start in particular can
     # freeze immediately on wide grids.
     n = grid.n
-    inv = 1.0 / (1.0 + grid.as_array())
+    inv = 1.0 / (1.0 + grid.levels)
     low2 = np.zeros(n)
     low2[:2] = 0.5
     starts = [np.full(n, 1.0 / n), inv / inv.sum(), low2]
@@ -460,37 +471,32 @@ def _buyer_window(lo, hi, cap):
 def _box_rows(grid, lo, hi):
     """The rows of the lower program's relaxation that depend on the box.
 
-    Variables are (s, b, z, r), with z_ij standing for s_i b_j at index
-    2n + i*n + j. The box is the buyer box lo <= b <= hi, both of length
-    n; every s_i keeps its root range [0, cap]. Four McCormick envelopes
-    bound each z_ij through the corners of _CORNERS, one block of n*n rows
-    (row i*n + j) per corner; a point interval for b_j makes them exact.
-    Every box gets all 4n^2 rows, so the layout never changes: where
-    lo_j = 0 the (0, lo_j) row reads z_ij >= 0. The aggregates pin the z
-    block's row i between s_i times the box-clamped buyer mass window,
-    and its column j between b_j and cap * b_j; these cut far deeper than
-    the envelopes alone. Returns the envelope blocks and the aggregate
-    blocks, each a list of (rows, rel, rhs).
+    Variables are (s, b, z, r), z_ij standing for s_i b_j at 2n + i*n + j;
+    the box is the buyer box lo <= b <= hi, and s keeps [0, cap]. Four
+    McCormick envelopes bound each z_ij through the corners of _CORNERS,
+    n*n rows (row i*n + j) per corner, exact for a point interval of b_j.
+    Every box gets all 4n^2 rows, so the layout never changes (where
+    lo_j = 0 the (0, lo_j) row reads z_ij >= 0). The aggregates pin row i
+    of z between s_i times the box-clamped buyer mass window and column j
+    between b_j and cap * b_j, cutting far deeper than the envelopes.
+    Returns the envelope and the aggregate blocks, lists of (rows, rel, rhs).
     """
     n = grid.n
     cap = 1.0 + 1.0 / grid.prices[-1]
     E = np.eye(2 * n + n * n + 1)
     S, B, Z = E[:n], E[n:2 * n], E[2 * n:-1]
     pi, pj = divmod(np.arange(n * n), n)
-    envelopes = []
-    for top, upper, rel in _CORNERS:
-        # z_ij against the plane through the corner (s_end, b_end)
-        s_end, b_end = (cap if top else 0.0), (hi if upper else lo)[pj]
-        envelopes.append((Z - b_end[:, None] * S[pi] - s_end * B[pj], rel,
-                          -s_end * b_end))
+    # z_ij against the plane through each corner (s_end, b_end), all four at once
+    s_end = np.array([cap if top else 0.0 for top, _, _ in _CORNERS])[:, None]
+    b_end = np.array([hi if upper else lo for _, upper, _ in _CORNERS])[:, pj]
+    rows = Z - b_end[:, :, None] * S[pi] - s_end[:, :, None] * B[pj]
+    rhs = -s_end * b_end
+    envelopes = [(rows[k], rel, rhs[k]) for k, (_, _, rel) in enumerate(_CORNERS)]
     b_lo, b_hi = _buyer_window(lo, hi, cap)
     z_rows = Z.reshape(n, n, -1).sum(axis=1)
     z_cols = Z.reshape(n, n, -1).sum(axis=0)
-    return (envelopes,
-            [(z_rows - b_hi * S, "<=", 0.0),
-             (z_rows - b_lo * S, ">=", 0.0),
-             (z_cols - cap * B, "<=", 0.0),
-             (z_cols - B, ">=", 0.0)])
+    return envelopes, [(z_rows - b_hi * S, "<=", 0.0), (z_rows - b_lo * S, ">=", 0.0),
+                       (z_cols - cap * B, "<=", 0.0), (z_cols - B, ">=", 0.0)]
 
 
 def _node_lp(grid, lo, hi):
@@ -499,66 +505,59 @@ def _node_lp(grid, lo, hi):
     optimum on the product variables, one exclusive welfare row per
     level), then _box_rows' envelopes and aggregates. Bounds keep s_i in
     [0, cap], b in the box and z_ij in [0, cap * hi_j]."""
-    p = grid.as_array()
+    p = grid.levels
     n = grid.n
     cap = 1.0 + 1.0 / p[-1]
     E = np.eye(2 * n + n * n + 1)
     S, B, Z, R = E[:n], E[n:2 * n], E[2 * n:-1], E[-1]
-    # Each welfare row's z block is the gain each seller/buyer pair of
-    # unit masses collects at that level.
-    unit = np.eye(n)
+    unit = np.eye(n)    # a welfare row's z block: the gain of each unit-mass pair
     pair = _row_gains(grid, unit[:, None], unit[None], False).reshape(n * n, n)
     welfare = p @ S + pair.T @ Z - R
-    static = [(S.sum(axis=0), ">=", 1.0), (S.sum(axis=0), "<=", cap),
-              (B.sum(axis=0), ">=", 1.0), (B.sum(axis=0), "<=", cap),
-              (np.maximum.outer(p, p).ravel() @ Z, ">=", 1.0), (welfare, "<=", 0.0)]
+    s_sum, b_sum = S.sum(axis=0), B.sum(axis=0)
+    static = [(s_sum, ">=", 1.0), (s_sum, "<=", cap), (b_sum, ">=", 1.0),
+              (b_sum, "<=", cap), (grid.pair_max.ravel() @ Z, ">=", 1.0),
+              (welfare, "<=", 0.0)]
     envelopes, aggregates = _box_rows(grid, lo, hi)
-    bounds = np.column_stack([
-        np.concatenate([np.zeros(n), lo, np.zeros(n * n + 1)]),
-        np.concatenate([np.full(n, cap), hi, np.tile(cap * hi, n), [np.inf]])])
+    col_hi = np.concatenate([np.full(n, cap), hi, *[cap * hi] * n, [np.inf]])
+    bounds = np.array([np.concatenate([np.zeros(n), lo, np.zeros(n * n + 1)]), col_hi]).T
     return lp_problem(R, static + envelopes + aggregates, bounds=bounds)
 
 
 def _box_plan(model, grid):
-    """Where _set_box writes a box into a model of _node_lp(grid, ...),
-    resolved once, since it depends on the grid alone. Each number a box
-    writes is an entry of (lo, hi, b_hi, b_lo, 0, cap * hi); take indexes
-    it for the envelope and window ends, whose negatives are the
-    coefficients on s at slots, and for the b and z columns' lower and
-    upper bounds. The cap corners' rows take -cap times the ends at at.
-    Returns (model, cap, slots, take, at, those rows, the b and z columns).
-    """
+    """Where _set_box writes a box into a model of _node_lp(grid, ...).
+    take gathers from (lo, hi, b_hi, b_lo, 0, cap * hi) the envelope and
+    window ends, whose negatives are the coefficients on s at slots, then
+    the b and z columns' lower and upper bounds; the cap corners' rows
+    take -cap times the ends at at. Returns (model, cap, slots, take, at,
+    those rows, the b and z columns)."""
     n = grid.n
     first = n + 5                       # the static rows come first
+    t = np.arange(n)
     pi, pj = divmod(np.arange(n * n), n)
     slots = model.slots(first + np.arange(4 * n * n + 2 * n),
-                        np.concatenate([np.tile(pi, 4), np.tile(np.arange(n), 2)]))
-    take = (np.concatenate([pj + (n if upper else 0) for _, upper, _ in _CORNERS]
-                           + [np.full(n, 2 * n), np.full(n, 2 * n + 1)]),
-            np.concatenate([np.arange(n), np.full(n * n, 2 * n + 2)]),
-            np.concatenate([n + np.arange(n), 2 * n + 3 + pj]))
-    at = np.concatenate([k * n * n + np.arange(n * n)
-                         for k, (top, _, _) in enumerate(_CORNERS) if top])
-    return (model, 1.0 + 1.0 / grid.prices[-1], slots, take, at, first + at,
-            np.arange(n, 2 * n + n * n))
+                        np.concatenate([pi, pi, pi, pi, t, t]))
+    take = np.concatenate([pj + (n if upper else 0) for _, upper, _ in _CORNERS]
+                          + [np.repeat([2 * n, 2 * n + 1], n), t,
+                             np.repeat(2 * n + 2, n * n), n + t, 2 * n + 3 + pj])
+    at = slice(n * n, 3 * n * n)        # _CORNERS[1:3], the cap corners
+    return (model, 1.0 + 1.0 / grid.prices[-1], slots, take, at,
+            slice(first + n * n, first + 3 * n * n), slice(n, 2 * n + n * n))
 
 
 def _set_box(plan, lo, hi):
     """Edit the model of a _box_plan into _node_lp(grid, lo, hi).
 
-    Writes every entry that depends on the box, only values at the
-    plan's positions: the envelope and aggregate coefficients on s, the
-    right-hand sides of the cap corners' rows, and the bounds on b and z.
-    Writing them all takes a handful of array operations at any box, so
-    no record of the box the model last held is kept.
+    Writes every entry that depends on the box, values only: the envelope
+    and aggregate coefficients on s, the cap corners' right-hand sides and
+    the bounds on b and z, so no record of the last box is kept.
     """
     model, cap, slots, take, at, rows, cols = plan
     b_lo, b_hi = _buyer_window(lo, hi, cap)
-    box = np.concatenate([lo, hi, [b_hi, b_lo, 0.0], cap * hi])
-    ends, col_lo, col_hi = (box[k] for k in take)
+    box = np.concatenate([lo, hi, [b_hi, b_lo, 0.0], cap * hi])[take]
+    ends = box[:len(slots[0])]
     model.set_values(slots, -ends)
     model.set_rhs(rows, -cap * ends[at])
-    model.set_bounds(cols, col_lo, col_hi)
+    model.set_bounds(cols, *box[len(ends):].reshape(2, -1))
 
 
 def _branch_and_bound(grid, starts, node_budget, gap_tol):
@@ -567,25 +566,22 @@ def _branch_and_bound(grid, starts, node_budget, gap_tol):
     incumbent, the seller half-step at its b, and then splits b_j for the
     worst weighted product violation (i, j); the leaves tile the b box.
 
-    One LPModel holds the node LP for the whole tree, with a fixed row
-    layout, and _box_plan resolves once where a box goes in it. Each
-    child writes its box there (_set_box) and solves from its parent's
-    basis, which the heap entry carries. A child whose LP hits the
-    iteration limit is set aside with its parent's bound. The incumbent
-    half-steps edit the seller model of the opening descent.
+    One LPModel holds the tree's node LP; each child writes its box there
+    (_set_box) and solves from its parent's basis, carried by the heap. A
+    child whose LP hits the iteration limit is set aside with its parent's
+    bound. Incumbent half-steps edit the opening descent's half-step model.
     """
-    p = grid.as_array()
     n = grid.n
-    cap = 1.0 + 1.0 / p[-1]
+    cap = 1.0 + 1.0 / grid.prices[-1]
 
     # Each half-step is an honest LP, always feasible because the mass
     # windows allow enough weight at the top level to cover the optimum
     # constraint, so the best descent is a true incumbent.
-    models = {"s": None, "b": None}
+    held = [None]
     inc_r, inc_s, inc_b, _, _, (solves, pivots) = _best_alternate(
-        grid, "lower", starts, 40, models)
+        grid, "lower", starts, 40, held)
 
-    weight = np.maximum.outer(p, p) + 1.0
+    weight = grid.pair_max.ravel() + 1.0
     box0 = (np.zeros(n), np.full(n, cap))
     model = LPModel(_node_lp(grid, *box0))
     plan = _box_plan(model, grid)
@@ -600,7 +596,7 @@ def _branch_and_bound(grid, starts, node_budget, gap_tol):
     # Bounds of regions set aside without being fully resolved; they keep
     # the final lower bound honest even when exploration stops early.
     stalled = []
-    seller, fix = models["s"], None     # the last half-step warms the next
+    seller, fix = held[0], None     # the last half-step warms the next
     while heap and nodes + 2 <= node_budget:
         bound, _, (lo, hi), x, basis = heapq.heappop(heap)
         if bound >= inc_r - 1e-12:
@@ -620,11 +616,11 @@ def _branch_and_bound(grid, starts, node_budget, gap_tol):
             # gap too, so this is convergence, not abandonment.
             stalled.append(bound)
             break
-        z_val = x[2 * n:-1].reshape(n, n)
-        viol = np.abs(z_val - np.outer(s_val, b_val)) * weight
-        i, j = np.unravel_index(int(np.argmax(viol)), viol.shape)
+        viol = np.abs(x[2 * n:-1] - (s_val[:, None] * b_val).ravel()) * weight
+        worst = int(viol.argmax())
+        j = worst % n
         width = hi[j] - lo[j]
-        if viol[i, j] <= 1e-9 or width <= 1e-9:
+        if viol[worst] <= 1e-9 or width <= 1e-9:
             # The relaxation is essentially exact here: set the region
             # aside with its bound.
             stalled.append(bound)

@@ -218,18 +218,21 @@ def verify_two_thirds(side, *, step=0.005):
     best = np.inf
     best_arg = None
     flagged = []
-    chunk = max(1, _BLOCK // (len(p_grid) * len(y_grid)))
-    for lo in range(0, len(x_grid), chunk):
-        xs = x_grid[lo:lo + chunk]
-        obj = family_objective(side, xs[:, None, None], p_grid[None, :, None],
-                               y_grid[None, None, :])
-        k = int(np.argmin(obj))
-        i, j, l = np.unravel_index(k, obj.shape)
-        if obj[i, j, l] < best:
-            best = float(obj[i, j, l])
-            best_arg = (float(xs[i]), float(p_grid[j]), float(y_grid[l]))
-        i, j, l = np.nonzero(obj <= 1e-4)
-        flagged.append(np.column_stack([xs[i], p_grid[j], y_grid[l]]))
+    # blocks of whole y columns, split along x (and p, for long x slices)
+    pairs = max(1, _BLOCK // len(y_grid))
+    x_chunk, p_chunk = max(1, pairs // len(p_grid)), min(len(p_grid), pairs)
+    for x_lo in range(0, len(x_grid), x_chunk):
+        xs = x_grid[x_lo:x_lo + x_chunk]
+        for p_lo in range(0, len(p_grid), p_chunk):
+            ps = p_grid[p_lo:p_lo + p_chunk]
+            obj = family_objective(side, xs[:, None, None], ps[None, :, None],
+                                   y_grid[None, None, :])
+            i, j, l = np.unravel_index(int(np.argmin(obj)), obj.shape)
+            if obj[i, j, l] < best:
+                best = float(obj[i, j, l])
+                best_arg = (float(xs[i]), float(ps[j]), float(y_grid[l]))
+            i, j, l = np.nonzero(obj <= 1e-4)
+            flagged.append(np.column_stack([xs[i], ps[j], y_grid[l]]))
     pts = np.concatenate(flagged)
     if len(pts):
         best, best_arg = _local_minimum(side, pts, step, best, best_arg)

@@ -14,29 +14,26 @@ cost about 49 MB, the extension about 3 MB. It is registered under its
 real module name, so a later import of scipy.optimize reuses it instead
 of loading it a second time (a second copy fails to register its types).
 
-An LPModel holds a problem and one HiGHS solver object for it. Its
-column bounds, matrix coefficients and right-hand sides can be edited in
-place while the row and column layout stays fixed, so a sequence of
-related LPs builds its matrix once. A caller that rewrites the same
-matrix entries again and again resolves their positions once, with
-LPModel.slots, and then writes only values, with LPModel.set_values,
-which does no lookups. lp_solve is the one way to solve:
-given an LPProblem it builds a throwaway model. Each optimal solution
-carries its basis, and passing that basis to a later solve of a problem
-with the same rows and columns warm-starts the dual simplex from it. A
-model lives only as long as the call that made it; nothing is cached
-between calls. Presolve is off: on the benchmark's lower_bnb workload
-(2 vCPUs) it raised peak memory by about 0.5 MB and slowed the run from
-about 0.42 to 0.72 s.
+One HiGHS solver object, made with its options on the first solve, serves
+every solve. An LPModel holds only arrays, edited in place with the layout
+fixed, so related LPs build their matrix once. lp_solve, the one way to
+solve, hands the model (a throwaway one for an LPProblem) whole to the
+solver object, which drops the model, basis and solution it held: a solve
+starts cold unless given the basis of an optimal solve with the same rows
+and columns. Solves must not run in several threads at once. Presolve is
+off: with it on, HiGHS's time in a lower_bnb round rose from 20 to 34 ms
+(best of 30, 2 vCPUs).
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.machinery
 import importlib.util
 import os
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -49,8 +46,7 @@ class LPProblem:
     """Minimize or maximize c @ x subject to A @ x (rel) rhs, lo <= x <= hi.
 
     rel holds -1, 0, +1 for '<=', '=', '>='; lo and hi hold -inf and +inf
-    where a variable has no bound. Build one with lp_problem, which
-    validates the data."""
+    where a variable has no bound. lp_problem builds and validates one."""
 
     c: np.ndarray
     A: np.ndarray
@@ -77,11 +73,10 @@ def lp_problem(objective, constraints, bounds=None, sense="min") -> LPProblem:
 
     Each constraint is a block (rows, rel, rhs): rows is one row of
     length n or a 2-D array with n columns, rel is '<=', '=' or '>=' for
-    the whole block, and rhs is a scalar or one value per row. Rows keep
-    the order given, which is the order of lp_solve's duals. bounds holds
-    one (lo, hi) pair per variable, with None or an infinity for a
-    missing bound; the default is x >= 0. Non-finite objective, row or
-    rhs entries and NaN bounds raise ValueError.
+    the block, and rhs a scalar or one value per row. Rows keep the order
+    given, the order of lp_solve's duals. bounds holds one (lo, hi) pair
+    per variable, None or an infinity for a missing bound (default x >= 0).
+    Non-finite objective, row or rhs entries and NaN bounds raise ValueError.
     """
     if sense not in ("min", "max"):
         raise ValueError("sense must be 'min' or 'max'")
@@ -99,17 +94,20 @@ def lp_problem(objective, constraints, bounds=None, sense="min") -> LPProblem:
         blocks.append(rows)
         rels += [_RELATIONS[rel]] * len(rows)
         rhss.append(np.full(len(rows), rhs, dtype=float))
-    A, rel, rhs = np.vstack(blocks), np.array(rels, dtype=int), np.concatenate(rhss)
+    A, rel, rhs = np.concatenate(blocks), np.array(rels, dtype=int), np.concatenate(rhss)
     for name, v in (("objective", c), ("constraint rows", A), ("rhs", rhs)):
         if not np.isfinite(v).all():
             raise ValueError(f"{name} must be finite")
     if bounds is None:
         lo, hi = np.zeros(n), np.full(n, np.inf)
     else:
-        box = np.array(bounds, dtype=object).reshape(-1, 2)
+        box = np.asarray(bounds)
+        if box.dtype != float:          # None marks a missing bound
+            box = np.array(bounds, dtype=object).reshape(-1, 2)
+            box = np.where(np.equal(box, None), [-np.inf, np.inf], box)
+        box = box.reshape(-1, 2).astype(float)
         if len(box) != n:
             raise ValueError("bounds length mismatch")
-        box = np.where(np.equal(box, None), [-np.inf, np.inf], box).astype(float)
         lo, hi = box[:, 0], box[:, 1]
         if not (np.all(lo < np.inf) and np.all(hi > -np.inf)):
             raise ValueError("bounds must not be NaN, +inf below or -inf above")
@@ -137,29 +135,43 @@ def _highs():
     return module
 
 
+@functools.cache
+def _solver():
+    """The module's HiGHS solver object and the extension's codes it uses."""
+    h = _highs()
+    highs = h._Highs()
+    # A degenerate LP can make the dual simplex spin without end; the
+    # largest cold node LP of the 16-level lower program takes 907
+    # iterations, so the limit is far above any honest solve.
+    for option, value in (("output_flag", False), ("presolve", "off"),
+                          ("simplex_iteration_limit", 20_000)):
+        highs.setOptionValue(option, value)
+    end = h.HighsModelStatus    # ends is keyed by value: ints hash faster than enums
+    return SimpleNamespace(
+        highs=highs, error=h.HighsStatus.kError, colwise=h.MatrixFormat.kColwise.value,
+        senses={"min": h.ObjSense.kMinimize.value, "max": h.ObjSense.kMaximize.value},
+        ends={end.kOptimal.value: "optimal", end.kInfeasible.value: "infeasible",
+              end.kUnbounded.value: "unbounded",
+              end.kIterationLimit.value: "iteration_limit"})
+
+
 class LPModel:
-    """An LPProblem and one HiGHS solver object for it, edited in place.
+    """An LPProblem held as arrays and edited in place.
 
     The edits change column bounds, matrix coefficients and right-hand
-    sides; each row keeps its relation, and the numbers of rows and
-    columns never change. The model keeps the matrix in column-wise
-    arrays. slots(rows, cols) resolves where a set of entries sits in
-    them, inserting each absent entry as an explicit zero, and
-    set_values(slots, values) then writes values at those positions, a
-    single array write. Explicit zeros stay in the arrays, and HiGHS
-    drops them on the way in. Slots carry their entries' keys, so a
-    set_values after a later insert has moved the entries raises
-    instead of writing to the wrong ones. lp_solve hands the problem
-    as it stands to the solver object, which costs about 0.03 ms for the
-    16-level node LP of the lower program (1109 rows, 289 columns) and
-    makes HiGHS scale the edited matrix afresh. After HiGHS's own in-place
-    coefficient edits it keeps the scale factors of its first solve, and
-    node values then drifted up to 3.5e-6 from the optimum, against
-    1.5e-8 for a fresh solve.
+    sides; rows keep their relations and the layout never changes. The
+    matrix is kept column-wise. slots(rows, cols) resolves where entries
+    sit, inserting absent ones as explicit zeros (HiGHS drops them), and
+    set_values(slots, values) writes there; it raises on slots an insert
+    has moved since. The model holds no solver: lp_solve hands it whole to
+    the module's solver object on every solve, about 0.03 ms for the
+    16-level node LP (1109 rows, 289 columns), and HiGHS scales the edited
+    matrix afresh (after its own in-place edits it kept its first scale
+    factors, and node values drifted up to 3.5e-6 from the optimum,
+    against 1.5e-8 for a fresh solve).
     """
 
     def __init__(self, prob: LPProblem):
-        h = _highs()
         m, n = prob.A.shape
         cols, rows = np.nonzero(prob.A.T)
         self._m, self._n = m, n
@@ -167,25 +179,19 @@ class LPModel:
         self._value = prob.A[rows, cols]
         self._index_rows()
         self._integrality = np.zeros(n, dtype=np.int32)
-        self._c, self._rel = prob.c.copy(), prob.rel.copy()
+        self._c, self._sense = prob.c.copy(), prob.sense
         self._lo, self._hi = prob.lo.copy(), prob.hi.copy()
-        self._row_lo = np.where(prob.rel >= 0, prob.rhs, -np.inf)
-        self._row_hi = np.where(prob.rel <= 0, prob.rhs, np.inf)
-        self._sense = (h.ObjSense.kMinimize if prob.sense == "min"
-                       else h.ObjSense.kMaximize).value
-        highs = h._Highs()
-        highs.setOptionValue("output_flag", False)
-        highs.setOptionValue("presolve", "off")
-        # A degenerate LP can make the dual simplex spin without end; the
-        # largest cold node LP of the 16-level lower program takes 907
-        # iterations, so this limit is far above any honest solve.
-        highs.setOptionValue("simplex_iteration_limit", 20_000)
-        self._highs = highs
+        # an rhs clipped to these is its row's bounds, infinite on open sides
+        self._lo_cap = np.where(prob.rel >= 0, np.inf, -np.inf)
+        self._hi_cap = np.where(prob.rel <= 0, -np.inf, np.inf)
+        self._row_lo, self._row_hi = (np.minimum(prob.rhs, self._lo_cap),
+                                      np.maximum(prob.rhs, self._hi_cap))
 
     def set_bounds(self, cols, lo, hi):
         """Give columns cols the bounds lo <= x <= hi (arrays or scalars)."""
-        # the negated test also rejects NaN
-        if not ((np.asarray(lo) < np.inf).all() and (np.asarray(hi) > -np.inf).all()):
+        # rejects NaN too; ufunc.reduce spares each edit .all()'s Python call
+        if not (np.logical_and.reduce(np.less(lo, np.inf), axis=None)
+                and np.logical_and.reduce(np.greater(hi, -np.inf), axis=None)):
             raise ValueError("bounds must not be NaN, +inf below or -inf above")
         self._lo[cols], self._hi[cols] = lo, hi
 
@@ -214,25 +220,24 @@ class LPModel:
             self._value = np.insert(self._value, at, 0.0)
             self._index_rows()
             pos = np.searchsorted(self._key, keys)
-        return pos, keys
+        return pos, keys, self._key     # an insert replaces _key, never edits it
 
     def set_values(self, slots, values):
         """Write values[k] to the k-th entry of slots, from slots()."""
-        pos, keys = slots
+        pos, keys, resolved = slots
         values = np.asarray(values, dtype=float)
-        if not np.isfinite(values).all():
+        if not np.logical_and.reduce(np.isfinite(values), axis=None):
             raise ValueError("coefficients must be finite")
-        if (self._key[pos] != keys).any():
+        if resolved is not self._key and (self._key[pos] != keys).any():
             raise ValueError("stale slots: an insert has moved their entries")
         self._value[pos] = values
 
     def set_rhs(self, rows, rhs):
         """Set the right-hand sides of rows, which keep their relations."""
-        if not np.isfinite(rhs).all():
+        if not np.logical_and.reduce(np.isfinite(rhs), axis=None):
             raise ValueError("rhs must be finite")
-        rel = self._rel[rows]
-        self._row_lo[rows] = np.where(rel >= 0, rhs, -np.inf)
-        self._row_hi[rows] = np.where(rel <= 0, rhs, np.inf)
+        self._row_lo[rows] = np.minimum(rhs, self._lo_cap[rows])
+        self._row_hi[rows] = np.maximum(rhs, self._hi_cap[rows])
 
     def _index_rows(self):
         """HiGHS's column starts and row indices of the entries in _key."""
@@ -241,49 +246,45 @@ class LPModel:
         self._index = rows.astype(np.int32)
 
     def _pass(self):
-        """Hand the problem as it stands to the solver object."""
-        h = _highs()
-        status = self._highs.passModel(
-            self._n, self._m, self._key.size, h.MatrixFormat.kColwise.value,
-            self._sense, 0.0, self._c, self._lo, self._hi, self._row_lo, self._row_hi,
-            self._start, self._index, self._value, self._integrality)
-        if status == h.HighsStatus.kError:
+        """Hand the problem as it stands to the solver; returns _solver()."""
+        solver = _solver()
+        if solver.highs.passModel(
+                self._n, self._m, self._key.size, solver.colwise,
+                solver.senses[self._sense], 0.0, self._c, self._lo, self._hi,
+                self._row_lo, self._row_hi, self._start, self._index, self._value,
+                self._integrality) == solver.error:
             raise ValueError("HiGHS rejected the model")
+        return solver
 
 
 def lp_solve(prob, basis=None) -> LPSolution:
     """Solve an LPProblem or an LPModel as it stands; see LPSolution for
-    the contract.
+    the contract. basis, from an earlier optimal LPSolution of a problem
+    with the same rows and columns, is where the dual simplex starts;
+    without it the solve starts cold, from the slack basis.
 
-    basis, taken from an earlier optimal LPSolution of a problem with the
-    same rows and columns, is where the dual simplex starts; without it
-    the solve starts cold, from the slack basis.
-
-    The dual vector has one entry per constraint row, signed so that for a
-    'min' problem duals of '<=' rows are <= 0 and duals of '>=' rows are
-    >= 0 (and conversely for 'max'), with value = dual @ rhs + bound terms.
+    The dual vector has one entry per row, signed so that for 'min' duals
+    of '<=' rows are <= 0 and of '>=' rows >= 0 (conversely for 'max'),
+    with value = dual @ rhs + bound terms.
     A solve that reaches the simplex iteration limit ends with status
     'iteration_limit' and no solution. Raises RuntimeError if HiGHS ends
     in any other state than optimal, infeasible or unbounded.
     """
     model = prob if isinstance(prob, LPModel) else LPModel(prob)
-    h = _highs()
-    highs = model._highs
-    model._pass()
-    if basis is not None and highs.setBasis(basis) == h.HighsStatus.kError:
+    solver = model._pass()
+    highs = solver.highs
+    if basis is not None and highs.setBasis(basis) == solver.error:
         raise ValueError("HiGHS rejected the basis")
     highs.run()
-    status = highs.getModelStatus()
+    end = highs.getModelStatus()
+    status = solver.ends.get(end.value)
     iterations = int(highs.getInfoValue("simplex_iteration_count")[1])
-    ends = {h.HighsModelStatus.kInfeasible: "infeasible",
-            h.HighsModelStatus.kUnbounded: "unbounded",
-            h.HighsModelStatus.kIterationLimit: "iteration_limit"}
-    if status in ends:
-        return LPSolution(status=ends[status], iterations=iterations)
-    if status != h.HighsModelStatus.kOptimal:
-        raise RuntimeError(f"HiGHS ended with {highs.modelStatusToString(status)}")
+    if status is None:
+        raise RuntimeError(f"HiGHS ended with {highs.modelStatusToString(end)}")
+    if status != "optimal":
+        return LPSolution(status=status, iterations=iterations)
     solution = highs.getSolution()
-    x = np.array(solution.col_value)
-    return LPSolution(status="optimal", x=x, value=float(model._c @ x),
-                      dual=np.array(solution.row_dual), iterations=iterations,
-                      basis=highs.getBasis())
+    x = np.array(solution.col_value, dtype=float)     # dtype spares a type scan
+    dual = np.array(solution.row_dual, dtype=float)
+    return LPSolution(status="optimal", x=x, value=float(model._c @ x), dual=dual,
+                      iterations=iterations, basis=highs.getBasis())

@@ -109,7 +109,7 @@ def test_pinned_rows_equal_the_unit_vector_sweep(grid):
     """The closed-form rows are the sweep of the free side's unit vectors
     bit for bit, also where the fixed masses hold zeros."""
     n = grid.n
-    p = grid.as_array()
+    p = grid.levels
     rng = np.random.default_rng(12)
     for _ in range(10):
         fixed = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.6)
@@ -197,7 +197,7 @@ def distribution_and_grid(draw):
 def test_discretize_properties(dg):
     d, grid = dg
     s = discretize_distribution(d, grid)
-    p = grid.as_array()
+    p = grid.levels
     mean = d.mean()
     assert np.all(s >= 0.0)
     assert 1.0 - 1e-9 <= s.sum() <= 1.0 + mean / p[-1] + 1e-9
@@ -311,7 +311,7 @@ def test_alternating_reports_a_stall_on_its_last_round():
     flag comes from the run, not from comparing its round count with the
     limit."""
     g = PriceGrid((0.0, 0.35, 0.8, 1000.0))
-    inv = 1.0 / (1.0 + g.as_array())
+    inv = 1.0 / (1.0 + g.levels)
     starts = [np.full(4, 0.25), inv / inv.sum(), np.array([0.5, 0.5, 0.0, 0.0])]
     _, _, _, iters, stalled, _ = _best_alternate(g, "lower", starts, 2)
     assert (iters, stalled) == (4, True)
@@ -367,8 +367,7 @@ def test_box_rows_contain_every_true_point(prices):
 
 def _held_lp(model):
     """The matrix, row bounds and column bounds a model hands to HiGHS."""
-    model._pass()
-    lp = model._highs.getLp()
+    lp = model._pass().highs.getLp()
     a = lp.a_matrix_
     A = np.zeros((lp.num_row_, lp.num_col_))
     cols = np.repeat(np.arange(lp.num_col_), np.diff(a.start_))
@@ -415,19 +414,21 @@ def test_box_edits_equal_a_fresh_node_lp(prices):
 
 
 @pytest.mark.parametrize("role", ["lower", "upper"])
-@pytest.mark.parametrize("free", ["s", "b"])
+@pytest.mark.parametrize("free", ["s", "b", "sb"])
 def test_half_step_edits_equal_a_fresh_half_step(free, role):
     """A half-step model edited through its slots holds exactly the LP a
     fresh build at the same fixed masses gives, after any sequence of
-    fixed vectors, zeros included."""
+    fixed vectors, zeros included, also when the free side alternates
+    ("sb"), as in a descent, whose two sides share one model."""
     grid = PriceGrid((0.0, 0.2, 0.5, 1.5, 4.0))
     rng = np.random.default_rng(13)
     held = None
-    for _ in range(8):
+    for k in range(8):
+        side = free[k % len(free)]
         fixed = rng.dirichlet(np.ones(grid.n)) * (rng.random(grid.n) < 0.7)
         fixed[-1] += 1.0 - fixed.sum()
-        held, got = _half_step(grid, fixed, free, role, held)
-        (fresh, _), want = _half_step(grid, fixed, free, role)
+        held, got = _half_step(grid, fixed, side, role, held)
+        (fresh, _), want = _half_step(grid, fixed, side, role)
         for g, w in zip(_held_lp(held[0]), _held_lp(fresh)):
             assert np.array_equal(g, w)
         assert got.value == want.value
@@ -476,8 +477,9 @@ def test_iteration_limited_child_keeps_its_parents_bound(monkeypatch):
     lambda: upperop_search(PriceGrid((0.0, 0.3, 0.7, 1.4)), restarts=4, seed=3),
 ], ids=["bnb", "bnb16", "alternating16", "upper"])
 def test_solves_repeat_exactly(solve):
-    """No solver state outlives a call: two calls in a row return the same
-    certificate and the same info, simplex iteration counts included."""
+    """No solve sees the state of an earlier one: two calls in a row
+    return the same certificate and the same info, simplex iteration
+    counts included."""
     a, b = solve(), solve()
     assert a == b
     assert a.info == b.info
@@ -499,6 +501,42 @@ def test_lp_solves_counts_every_lp(solve, monkeypatch):
 
     monkeypatch.setattr(fr, "lp_solve", counted)
     assert solve().info.lp_solves == len(calls) > 0
+
+
+# The benchmark's lower_bnb grids with their gap_tol, and per grid r,
+# lower_bound, s, b and (nodes, lp_solves, lp_iterations), frozen bit for
+# bit: a change to how the LPs are set up or handed to HiGHS must not
+# move them.
+PINNED_BNB = [
+    ((0.0, 0.3, 1000.0), 0.001, 0.3, 0.3, (-0.0, 1.0, 0.0),
+     (0.0, 0.9992997899369811, 0.0007002100630189056), (11, 27, 87)),
+    ((0.0, 0.35, 1000.0), 0.002, 0.35, 0.35, (-0.0, 1.0, 0.0),
+     (0.0, 0.9993497724203472, 0.0006502275796528785), (11, 27, 87)),
+    ((0.0, 0.4, 1000.0), 0.002, 0.4, 0.4, (-0.0, 1.0, 0.0),
+     (0.0, 0.9993997599039616, 0.0006002400960384153), (11, 27, 87)),
+    ((0.0, 0.45, 1000.0), 0.003, 0.45, 0.45, (-0.0, 1.0, 0.0),
+     (0.0, 0.9994497523885748, 0.0005502476114251413), (11, 27, 85)),
+    ((0.0, 0.6, 1000.0), 0.005, 0.39864018311086524, 0.39864018311086524,
+     (1.000601359816889, 0.0, 0.00039864018311086525),
+     (0.0, 1.0010000000000003, 0.0), (11, 36, 104)),
+    ((0.0, 0.4, 1.0, 1000.0), 0.02, 0.3999999999999999, 0.39999999999999986,
+     (-0.0, 0.9999999999999998, 0.0, 0.0), (0.0, 0.0, 1.0000000000000002, 0.0),
+     (13, 31, 154)),
+]
+
+
+@pytest.mark.parametrize("levels, gap, r, lower, s, b, counts", PINNED_BNB)
+def test_branch_and_bound_outputs_are_pinned(levels, gap, r, lower, s, b, counts):
+    cert = lowerop_solve(PriceGrid(levels), gap_tol=gap)
+    info = cert.info
+    assert (cert.r, info.lower_bound, cert.s, cert.b) == (r, lower, s, b)
+    assert (info.nodes, info.lp_solves, info.lp_iterations) == counts
+
+
+def test_upper_search_outputs_are_pinned():
+    cert = upperop_search(REFERENCE_GRID_16, 64, seed=1)
+    assert cert.r == 0.7645529844263679
+    assert (cert.info.lp_solves, cert.info.lp_iterations) == (320, 2212)
 
 
 def random_instance(rng, atoms=4):

@@ -415,6 +415,25 @@ def test_union_rescan_evaluates_each_distinct_point_once(side, seed, monkeypatch
     assert float(mo.objective_direct(side, x, p, y)) == pytest.approx(got, abs=1e-12)
 
 
+def test_coarse_blocks_stay_within_the_block_size(monkeypatch):
+    """At step 0.002 one x of the seller's scan spans 500 p's times 1502
+    y's, about three blocks, so the coarse pass splits along p too: no
+    block exceeds _BLOCK elements and together they cover every grid
+    point once. The patched objective is flat, so nothing is rescanned."""
+    sizes = []
+
+    def flat(side, x, p, y):
+        shape = np.broadcast(x, p, y).shape
+        sizes.append(np.prod(shape))
+        return np.broadcast_to(1.0, shape)
+
+    monkeypatch.setattr(mean_mech, "family_objective", flat)
+    mn, _ = verify_two_thirds(SELLER_MEAN, step=0.002)
+    assert mn == 1.0
+    assert max(sizes) <= mean_mech._BLOCK
+    assert sum(sizes) == 501 * 500 * 1502
+
+
 def test_verify_min_nonincreasing_under_refinement():
     """Halving the step only adds candidate points, so the certified
     minimum can move down but never up."""

@@ -230,6 +230,35 @@ def test_optimal_basis_restarts_without_pivots():
     assert np.array_equal(warm.x, cold.x)
 
 
+def test_shared_solver_keeps_models_apart():
+    """Every solve goes through one HiGHS solver object. Interleaved with
+    solves of a model of another shape and of a throwaway LPProblem, a
+    cold solve of a model repeats that model's first cold solve, solution
+    and iteration count alike, and a warm start from a basis repeats the
+    first solve from that basis."""
+    rng = np.random.default_rng(5)
+
+    def model(n, m):
+        A = rng.uniform(0.1, 1.0, (m, n))
+        return LPModel(lp_problem(rng.uniform(1.0, 2.0, n), [(A, ">=", 1.0)]))
+
+    models = [model(4, 3), model(7, 5)]
+    cold = [lp_solve(m) for m in models]
+    warm = [lp_solve(m, c.basis) for m, c in zip(models, cold)]
+    throwaway = lp_problem([1.0, -1.0], [([1.0, 1.0], "<=", 2.0)], sense="max")
+    for _ in range(3):
+        for m, want_cold, want_warm in zip(models, cold, warm):
+            assert lp_solve(throwaway).status == "optimal"
+            # each cold solve follows a warm one of its model, so a basis
+            # left behind in the solver would show in its iteration count
+            for got, want in ((lp_solve(m, want_cold.basis), want_warm),
+                              (lp_solve(m), want_cold)):
+                assert got.iterations == want.iterations
+                assert np.array_equal(got.x, want.x)
+                assert got.value == want.value
+    assert cold[0].iterations > 0 and warm[0].iterations == 0
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_model_edits_match_a_fresh_solve(seed):
     """Bound, coefficient and rhs edits to an LPModel, including entries
