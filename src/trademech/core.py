@@ -9,8 +9,9 @@ finite lottery over such prices.
 All welfare here comes from one prefix-sum sweep over the sorted atoms,
 `_gain_sweep`, which the grid programs share: a price accepts a prefix of
 the sellers and a suffix of the buyers, found by binary search. The sweep
-takes mass arrays with leading batch axes, so the grid programs get every
-LP coefficient block from it by sweeping one-hot mass vectors. Atomless
+takes mass arrays with leading batch axes, so the lower program's node LP
+gets its pair block from it by sweeping one-hot mass vectors; the
+half-step rows are the same sweep in closed form. Atomless
 prices go through `_cdf_gains`, which needs only the price CDF at each
 atom value and four prefix sums over the sellers below each buyer; the
 mean-keyed lotteries' closed-form CDFs use it. `opt_welfare` takes two

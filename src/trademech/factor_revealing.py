@@ -15,6 +15,7 @@ the tail above the top price collapses to (tail mean)/p_max.
 from __future__ import annotations
 
 import heapq
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -31,8 +32,9 @@ from .numkernel import certified_binary_search  # noqa: F401
 class PriceGrid:
     """Strictly increasing nonnegative price levels, at least two of them.
 
-    Arrays built on first use, kept read-only: `levels`, the prices;
-    `pair_max`, max(p_i, p_j) at [i, j]; `above`, i > t at [t, i].
+    Built on first use, kept read-only: `levels`, the prices;
+    `pair_max`, max(p_i, p_j) at [i, j]; `above`, i > t at [t, i]; `cap`,
+    1 + 1/p_max, the top of the lower program's mass window.
     """
 
     prices: tuple
@@ -63,6 +65,10 @@ class PriceGrid:
     @cached_property
     def above(self) -> np.ndarray:
         return _read_only(np.triu(np.ones((self.n, self.n), dtype=bool), 1))
+
+    @cached_property
+    def cap(self) -> float:
+        return 1.0 + 1.0 / self.prices[-1]
 
     def scaled(self, c: float) -> "PriceGrid":
         if c <= 0:
@@ -282,13 +288,12 @@ def verify_certificate(c: GridCertificate) -> CertificateReport:
     the maximum welfare row (an upper-role certificate must be tight in
     that sense before it can be turned into a hard instance).
     """
-    p = c.grid.levels
     s = np.asarray(c.s)
     b = np.asarray(c.b)
     rows = welfare_rows(c.grid, s, b, inclusive=(c.role == "upper"))
     opt = opt_quadratic(c.grid, s, b)
     if c.role == "lower":
-        win = 1.0 + 1.0 / p[-1]
+        win = c.grid.cap
         mass = {
             "sum_s_low": float(s.sum() - 1.0),
             "sum_s_high": float(win - s.sum()),
@@ -336,8 +341,7 @@ def _half_step(grid, fixed, free, role, held=None, basis=None):
     h_row = 2 if role == "lower" else 1       # after the mass window
     if held is None:
         ones = np.append(np.ones(n), 0.0)
-        cap = 1.0 + 1.0 / grid.prices[-1]
-        cons = ([(ones, ">=", 1.0), (ones, "<=", cap)] if role == "lower"
+        cons = ([(ones, ">=", 1.0), (ones, "<=", grid.cap)] if role == "lower"
                 else [(ones, "=", 1.0)])
         G_rows = np.append(np.ones((n, n)), -np.ones((n, 1)), axis=1)
         cons += [(ones, ">=", 1.0), (G_rows, "<=", -const)]
@@ -411,6 +415,17 @@ def _best_alternate(grid, role, starts, rounds, held=None):
     return r, s, b, total, stalled, (solves, pivots)
 
 
+def _check_count(value, name):
+    """Raise ValueError unless value is an integer (Python's or numpy's)
+    of at least 1; NaN and 2.5 fail, as does 2.0."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer") from None
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1")
+
+
 def lowerop_solve(grid: PriceGrid, mode: str = "branch_and_bound", *,
                   node_budget: int = 200_000,
                   gap_tol: float = 1e-4) -> GridCertificate:
@@ -434,8 +449,7 @@ def lowerop_solve(grid: PriceGrid, mode: str = "branch_and_bound", *,
     # the negated test also rejects NaN
     if not gap_tol >= 0.0:
         raise ValueError("gap_tol must be nonnegative")
-    if node_budget < 1:
-        raise ValueError("node_budget must be at least 1")
+    _check_count(node_budget, "node_budget")
     # Alternating descent stalls wherever it starts, so both modes run a
     # few cheap deterministic starts: uniform, weighted toward low levels,
     # and the bottom two levels. The uniform start in particular can
@@ -463,98 +477,72 @@ _CORNERS = ((False, False, ">="), (True, True, ">="), (True, False, "<="),
             (False, True, "<="))
 
 
-def _buyer_window(lo, hi, cap):
-    """The buyer mass window [1, cap] clamped to the box's sums."""
-    return max(1.0, float(lo.sum())), min(cap, float(hi.sum()))
+def _node_model(grid):
+    """The lower program's McCormick relaxation over a buyer box, as an
+    LPModel, and the plan by which _set_box writes a box into it.
 
+    Variables are (s, b, z, r), z_ij standing for s_i b_j at 2n + i*n + j,
+    and the LP minimizes r. Rows: the static ones (mass windows, the
+    optimum on z, one exclusive welfare row per level); four McCormick
+    envelopes through the corners of _CORNERS, n*n rows (row i*n + j) per
+    corner, exact for a point interval of b_j; then the aggregates, which
+    pin row i of z between s_i times the box-clamped buyer mass window and
+    column j between b_j and cap * b_j, cutting far deeper than the
+    envelopes. s keeps [0, cap]. Every coefficient on s that depends on
+    the box is built as a placeholder 1, so the matrix holds it whatever
+    the box (where lo_j = 0 the (0, lo_j) row reads z_ij >= 0); the model
+    holds no box until _set_box writes one.
 
-def _box_rows(grid, lo, hi):
-    """The rows of the lower program's relaxation that depend on the box.
-
-    Variables are (s, b, z, r), z_ij standing for s_i b_j at 2n + i*n + j;
-    the box is the buyer box lo <= b <= hi, and s keeps [0, cap]. Four
-    McCormick envelopes bound each z_ij through the corners of _CORNERS,
-    n*n rows (row i*n + j) per corner, exact for a point interval of b_j.
-    Every box gets all 4n^2 rows, so the layout never changes (where
-    lo_j = 0 the (0, lo_j) row reads z_ij >= 0). The aggregates pin row i
-    of z between s_i times the box-clamped buyer mass window and column j
-    between b_j and cap * b_j, cutting far deeper than the envelopes.
-    Returns the envelope and the aggregate blocks, lists of (rows, rel, rhs).
+    take gathers from (lo, hi, b_hi, b_lo, 0, cap * hi) the envelope and
+    window ends, whose negatives are the coefficients on s at slots, then
+    the b and z columns' lower and upper bounds; the cap corners' rows
+    take -cap times the ends at at. Returns the plan (model, cap, slots,
+    take, at, those rows, the b and z columns).
     """
-    n = grid.n
-    cap = 1.0 + 1.0 / grid.prices[-1]
-    E = np.eye(2 * n + n * n + 1)
-    S, B, Z = E[:n], E[n:2 * n], E[2 * n:-1]
-    pi, pj = divmod(np.arange(n * n), n)
-    # z_ij against the plane through each corner (s_end, b_end), all four at once
-    s_end = np.array([cap if top else 0.0 for top, _, _ in _CORNERS])[:, None]
-    b_end = np.array([hi if upper else lo for _, upper, _ in _CORNERS])[:, pj]
-    rows = Z - b_end[:, :, None] * S[pi] - s_end[:, :, None] * B[pj]
-    rhs = -s_end * b_end
-    envelopes = [(rows[k], rel, rhs[k]) for k, (_, _, rel) in enumerate(_CORNERS)]
-    b_lo, b_hi = _buyer_window(lo, hi, cap)
-    z_rows = Z.reshape(n, n, -1).sum(axis=1)
-    z_cols = Z.reshape(n, n, -1).sum(axis=0)
-    return envelopes, [(z_rows - b_hi * S, "<=", 0.0), (z_rows - b_lo * S, ">=", 0.0),
-                       (z_cols - cap * B, "<=", 0.0), (z_cols - B, ">=", 0.0)]
-
-
-def _node_lp(grid, lo, hi):
-    """The lower program's McCormick relaxation over the buyer box
-    lo <= b <= hi, minimizing r: the static rows (mass windows, the
-    optimum on the product variables, one exclusive welfare row per
-    level), then _box_rows' envelopes and aggregates. Bounds keep s_i in
-    [0, cap], b in the box and z_ij in [0, cap * hi_j]."""
     p = grid.levels
     n = grid.n
-    cap = 1.0 + 1.0 / p[-1]
+    cap = grid.cap
     E = np.eye(2 * n + n * n + 1)
     S, B, Z, R = E[:n], E[n:2 * n], E[2 * n:-1], E[-1]
     unit = np.eye(n)    # a welfare row's z block: the gain of each unit-mass pair
     pair = _row_gains(grid, unit[:, None], unit[None], False).reshape(n * n, n)
-    welfare = p @ S + pair.T @ Z - R
     s_sum, b_sum = S.sum(axis=0), B.sum(axis=0)
-    static = [(s_sum, ">=", 1.0), (s_sum, "<=", cap), (b_sum, ">=", 1.0),
-              (b_sum, "<=", cap), (grid.pair_max.ravel() @ Z, ">=", 1.0),
-              (welfare, "<=", 0.0)]
-    envelopes, aggregates = _box_rows(grid, lo, hi)
-    col_hi = np.concatenate([np.full(n, cap), hi, *[cap * hi] * n, [np.inf]])
-    bounds = np.array([np.concatenate([np.zeros(n), lo, np.zeros(n * n + 1)]), col_hi]).T
-    return lp_problem(R, static + envelopes + aggregates, bounds=bounds)
-
-
-def _box_plan(model, grid):
-    """Where _set_box writes a box into a model of _node_lp(grid, ...).
-    take gathers from (lo, hi, b_hi, b_lo, 0, cap * hi) the envelope and
-    window ends, whose negatives are the coefficients on s at slots, then
-    the b and z columns' lower and upper bounds; the cap corners' rows
-    take -cap times the ends at at. Returns (model, cap, slots, take, at,
-    those rows, the b and z columns)."""
-    n = grid.n
-    first = n + 5                       # the static rows come first
+    cons = [(s_sum, ">=", 1.0), (s_sum, "<=", cap), (b_sum, ">=", 1.0),
+            (b_sum, "<=", cap), (grid.pair_max.ravel() @ Z, ">=", 1.0),
+            (p @ S + pair.T @ Z - R, "<=", 0.0)]
     t = np.arange(n)
     pi, pj = divmod(np.arange(n * n), n)
+    cons += [(Z - S[pi] - top * cap * B[pj], rel, 0.0) for top, _, rel in _CORNERS]
+    z_rows, z_cols = Z.reshape(n, n, -1).sum(axis=1), Z.reshape(n, n, -1).sum(axis=0)
+    cons += [(z_rows - S, "<=", 0.0), (z_rows - S, ">=", 0.0),
+             (z_cols - cap * B, "<=", 0.0), (z_cols - B, ">=", 0.0)]
+    col_hi = np.full(E.shape[0], np.inf)
+    col_hi[:n] = cap
+    bounds = np.column_stack([np.zeros_like(col_hi), col_hi])
+    model = LPModel(lp_problem(R, cons, bounds=bounds))
+    first = n + 5                       # the static rows come first
     slots = model.slots(first + np.arange(4 * n * n + 2 * n),
                         np.concatenate([pi, pi, pi, pi, t, t]))
     take = np.concatenate([pj + (n if upper else 0) for _, upper, _ in _CORNERS]
                           + [np.repeat([2 * n, 2 * n + 1], n), t,
                              np.repeat(2 * n + 2, n * n), n + t, 2 * n + 3 + pj])
     at = slice(n * n, 3 * n * n)        # _CORNERS[1:3], the cap corners
-    return (model, 1.0 + 1.0 / grid.prices[-1], slots, take, at,
+    return (model, cap, slots, take, at,
             slice(first + n * n, first + 3 * n * n), slice(n, 2 * n + n * n))
 
 
 def _set_box(plan, lo, hi):
-    """Edit the model of a _box_plan into _node_lp(grid, lo, hi).
+    """Write the buyer box lo <= b <= hi into the model of a _node_model plan.
 
     Writes every entry that depends on the box, values only: the envelope
     and aggregate coefficients on s, the cap corners' right-hand sides and
-    the bounds on b and z, so no record of the last box is kept.
+    the bounds on b and z, so no record of the last box is kept. The
+    aggregates take the buyer mass window [1, cap] clamped to the box's sums.
     """
     model, cap, slots, take, at, rows, cols = plan
-    b_lo, b_hi = _buyer_window(lo, hi, cap)
-    box = np.concatenate([lo, hi, [b_hi, b_lo, 0.0], cap * hi])[take]
-    ends = box[:len(slots[0])]
+    window = [min(cap, float(hi.sum())), max(1.0, float(lo.sum()))]
+    box = np.concatenate([lo, hi, window, [0.0], cap * hi])[take]
+    ends = box[:len(slots)]
     model.set_values(slots, -ends)
     model.set_rhs(rows, -cap * ends[at])
     model.set_bounds(cols, *box[len(ends):].reshape(2, -1))
@@ -566,13 +554,13 @@ def _branch_and_bound(grid, starts, node_budget, gap_tol):
     incumbent, the seller half-step at its b, and then splits b_j for the
     worst weighted product violation (i, j); the leaves tile the b box.
 
-    One LPModel holds the tree's node LP; each child writes its box there
-    (_set_box) and solves from its parent's basis, carried by the heap. A
-    child whose LP hits the iteration limit is set aside with its parent's
-    bound. Incumbent half-steps edit the opening descent's half-step model.
+    One LPModel holds the tree's node LP; the root and then each child
+    write their box there (_set_box), and a child solves from its parent's
+    basis, carried by the heap. A child whose LP hits the iteration limit
+    is set aside with its parent's bound. Incumbent half-steps edit the
+    opening descent's half-step model.
     """
     n = grid.n
-    cap = 1.0 + 1.0 / grid.prices[-1]
 
     # Each half-step is an honest LP, always feasible because the mass
     # windows allow enough weight at the top level to cover the optimum
@@ -582,9 +570,10 @@ def _branch_and_bound(grid, starts, node_budget, gap_tol):
         grid, "lower", starts, 40, held)
 
     weight = grid.pair_max.ravel() + 1.0
-    box0 = (np.zeros(n), np.full(n, cap))
-    model = LPModel(_node_lp(grid, *box0))
-    plan = _box_plan(model, grid)
+    box0 = (np.zeros(n), np.full(n, grid.cap))
+    plan = _node_model(grid)
+    model = plan[0]
+    _set_box(plan, *box0)
     sol0 = lp_solve(model)
     solves += 1
     pivots += sol0.iterations
@@ -667,8 +656,7 @@ def upperop_search(grid: PriceGrid, restarts: int = 8, *,
     scaled grid (the objective is scale-free in the sense that the ratio
     statement it encodes is unchanged).
     """
-    if restarts < 1:
-        raise ValueError("restarts must be at least 1")
+    _check_count(restarts, "restarts")
     work = grid if grid.prices[-1] >= 1.0 else grid.scaled(1.0 / grid.prices[-1])
     n = work.n
     rngs = (np.random.default_rng(seed + k) for k in range(1, restarts))
@@ -695,8 +683,9 @@ def upperop_to_instance(c: GridCertificate) -> Instance:
     if not report.feasible or not report.r_tight:
         raise ValueError("certificate must be feasible and tight in r")
     p = c.grid.prices
-    s = np.asarray(c.s)
-    b = np.asarray(c.b)
+    # verification allows masses in [-1e-9, 0); they are dropped, from the sums too
+    s = np.maximum(c.s, 0.0)
+    b = np.maximum(c.b, 0.0)
     seller = tuple((p[i], 1.0, s[i] / s.sum()) for i in range(c.grid.n) if s[i] > 0)
     buyer = tuple((p[j], 0.0, b[j] / b.sum()) for j in range(c.grid.n) if b[j] > 0)
     inst = Instance(DiscreteDistribution(seller), DiscreteDistribution(buyer))

@@ -15,14 +15,14 @@ real module name, so a later import of scipy.optimize reuses it instead
 of loading it a second time (a second copy fails to register its types).
 
 One HiGHS solver object, made with its options on the first solve, serves
-every solve. An LPModel holds only arrays, edited in place with the layout
-fixed, so related LPs build their matrix once. lp_solve, the one way to
-solve, hands the model (a throwaway one for an LPProblem) whole to the
-solver object, which drops the model, basis and solution it held: a solve
-starts cold unless given the basis of an optimal solve with the same rows
-and columns. Solves must not run in several threads at once. Presolve is
-off: with it on, HiGHS's time in a lower_bnb round rose from 20 to 34 ms
-(best of 30, 2 vCPUs).
+every solve. An LPModel holds only arrays, edited in place; its layout, the
+set of matrix entries, is fixed when it is built, so related LPs build their
+matrix once. lp_solve, the one way to solve, hands the model (a throwaway
+one for an LPProblem) whole to the solver object, which drops the model,
+basis and solution it held: a solve starts cold unless given the basis of
+an optimal solve with the same rows and columns. Solves must not run in
+several threads at once. Presolve is off: with it on, HiGHS's time in a
+lower_bnb round rose from 20 to 34 ms (best of 30, 2 vCPUs).
 """
 
 from __future__ import annotations
@@ -158,17 +158,19 @@ def _solver():
 class LPModel:
     """An LPProblem held as arrays and edited in place.
 
-    The edits change column bounds, matrix coefficients and right-hand
-    sides; rows keep their relations and the layout never changes. The
-    matrix is kept column-wise. slots(rows, cols) resolves where entries
-    sit, inserting absent ones as explicit zeros (HiGHS drops them), and
-    set_values(slots, values) writes there; it raises on slots an insert
-    has moved since. The model holds no solver: lp_solve hands it whole to
-    the module's solver object on every solve, about 0.03 ms for the
-    16-level node LP (1109 rows, 289 columns), and HiGHS scales the edited
-    matrix afresh (after its own in-place edits it kept its first scale
-    factors, and node values drifted up to 3.5e-6 from the optimum,
-    against 1.5e-8 for a fresh solve).
+    The layout is fixed when the model is built: its matrix holds the
+    nonzero entries of the problem's A, column-wise, and never gains or
+    loses one. Edits change column bounds, the values of those entries
+    and right-hand sides; rows keep their relations. A builder that edits
+    a coefficient later puts a nonzero placeholder there. slots(rows,
+    cols) resolves where entries sit, and set_values(slots, values) writes
+    there; a value may be zero, which HiGHS drops from that solve alone.
+    The model holds no solver: lp_solve hands it whole to the module's
+    solver object on every solve, about 0.03 ms for the 16-level node LP
+    (1109 rows, 289 columns), and HiGHS scales the edited matrix afresh
+    (after its own in-place edits it kept its first scale factors, and
+    node values drifted up to 3.5e-6 from the optimum, against 1.5e-8 for
+    a fresh solve).
     """
 
     def __init__(self, prob: LPProblem):
@@ -177,7 +179,9 @@ class LPModel:
         self._m, self._n = m, n
         self._key = cols * m + rows             # sorted column by column
         self._value = prob.A[rows, cols]
-        self._index_rows()
+        # HiGHS's column starts and row indices
+        self._start = np.searchsorted(cols, np.arange(n)).astype(np.int32)
+        self._index = rows.astype(np.int32)
         self._integrality = np.zeros(n, dtype=np.int32)
         self._c, self._sense = prob.c.copy(), prob.sense
         self._lo, self._hi = prob.lo.copy(), prob.hi.copy()
@@ -196,13 +200,9 @@ class LPModel:
         self._lo[cols], self._hi[cols] = lo, hi
 
     def slots(self, rows, cols):
-        """Resolve the positions of the entries A[rows[k], cols[k]], for
-        distinct (row, col) pairs, for later set_values calls.
-
-        An entry the matrix does not hold is inserted as an explicit zero,
-        which moves the positions of the entries after it; one named twice
-        raises ValueError.
-        """
+        """The positions of the entries A[rows[k], cols[k]], for later
+        set_values calls. An entry the built matrix does not hold raises
+        ValueError."""
         rows, cols = np.ravel(rows), np.ravel(cols)
         if rows.size and (min(rows.min(), cols.min()) < 0 or rows.max() >= self._m
                           or cols.max() >= self._n):
@@ -210,27 +210,16 @@ class LPModel:
         keys = cols.astype(np.int64) * self._m + rows
         pos = np.searchsorted(self._key, keys)
         # key -1 is no entry's, so a position past the end finds nothing
-        new = np.append(self._key, -1)[pos] != keys
-        if new.any():
-            order = np.argsort(keys[new])
-            at, add = pos[new][order], keys[new][order]
-            if (add[1:] == add[:-1]).any():
-                raise ValueError("slots need distinct (row, col) pairs")
-            self._key = np.insert(self._key, at, add)
-            self._value = np.insert(self._value, at, 0.0)
-            self._index_rows()
-            pos = np.searchsorted(self._key, keys)
-        return pos, keys, self._key     # an insert replaces _key, never edits it
+        if (np.append(self._key, -1)[pos] != keys).any():
+            raise ValueError("the matrix holds no entry there")
+        return pos
 
     def set_values(self, slots, values):
         """Write values[k] to the k-th entry of slots, from slots()."""
-        pos, keys, resolved = slots
         values = np.asarray(values, dtype=float)
         if not np.logical_and.reduce(np.isfinite(values), axis=None):
             raise ValueError("coefficients must be finite")
-        if resolved is not self._key and (self._key[pos] != keys).any():
-            raise ValueError("stale slots: an insert has moved their entries")
-        self._value[pos] = values
+        self._value[slots] = values
 
     def set_rhs(self, rows, rhs):
         """Set the right-hand sides of rows, which keep their relations."""
@@ -238,12 +227,6 @@ class LPModel:
             raise ValueError("rhs must be finite")
         self._row_lo[rows] = np.minimum(rhs, self._lo_cap[rows])
         self._row_hi[rows] = np.maximum(rhs, self._hi_cap[rows])
-
-    def _index_rows(self):
-        """HiGHS's column starts and row indices of the entries in _key."""
-        cols, rows = np.divmod(self._key, self._m)
-        self._start = np.searchsorted(cols, np.arange(self._n)).astype(np.int32)
-        self._index = rows.astype(np.int32)
 
     def _pass(self):
         """Hand the problem as it stands to the solver; returns _solver()."""

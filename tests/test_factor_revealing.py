@@ -24,14 +24,13 @@ from trademech.core import (
 )
 import trademech.factor_revealing as fr
 from trademech.factor_revealing import (
-    GridCertificate, PriceGrid, REFERENCE_GRID_16, _best_alternate, _box_plan,
-    _box_rows, _half_step, _node_lp, _pinned_rows, _set_box, _row_gains,
+    GridCertificate, PriceGrid, REFERENCE_GRID_16, _best_alternate, _half_step,
+    _node_model, _pinned_rows, _set_box, _row_gains,
     certificate_from_json, certificate_to_json, convergence_bracket,
     discretize_distribution, lowerop_solve, one_sided_certify, one_sided_value,
     opt_quadratic, upperop_search, upperop_to_instance, verify_certificate,
     welfare_rows,
 )
-from trademech.numkernel import LPModel
 from trademech.numkernel.lp import LPSolution
 
 
@@ -66,6 +65,14 @@ def test_reference_grid_shape():
     assert REFERENCE_GRID_16.n == 16
     assert REFERENCE_GRID_16.prices[0] == 0.0
     assert REFERENCE_GRID_16.prices[-1] == 1000.0
+
+
+def test_grid_cap_is_the_mass_window_top():
+    g = PriceGrid((0.0, 0.5, 2.0))
+    assert g.cap == 1.5
+    assert REFERENCE_GRID_16.cap == 1.0 + 1.0 / 1000.0
+    with pytest.raises(AttributeError):
+        g.cap = 2.0
 
 
 # ------------------------------------------------- rows and the optimum
@@ -270,7 +277,9 @@ def test_lowerop_needs_zero_anchor():
 @pytest.mark.parametrize("kwargs", [
     {"gap_tol": -1.0}, {"gap_tol": float("nan")},
     {"node_budget": 0}, {"node_budget": -5},
-], ids=["gap_negative", "gap_nan", "budget_zero", "budget_negative"])
+    {"node_budget": float("nan")}, {"node_budget": 2.5},
+], ids=["gap_negative", "gap_nan", "budget_zero", "budget_negative",
+        "budget_nan", "budget_fraction"])
 def test_lowerop_rejects_bad_stopping_rules(kwargs):
     with pytest.raises(ValueError):
         lowerop_solve(PriceGrid((0.0, 0.3, 1000.0)), "branch_and_bound", **kwargs)
@@ -337,34 +346,6 @@ def test_lowerop_converges_to_a_feasible_certificate(prices):
     assert verify_certificate(cert).feasible
 
 
-@pytest.mark.parametrize("prices", [(0.0, 0.5, 1000.0), (0.0, 0.3, 0.7, 2.0)])
-def test_box_rows_contain_every_true_point(prices):
-    """Every point of the program inside a buyer box, with s anywhere in
-    its window and z = s b^T, satisfies every envelope and aggregate row
-    built for that box, so no branch cuts off a true point."""
-    grid = PriceGrid(prices)
-    n = grid.n
-    cap = 1.0 + 1.0 / prices[-1]
-    rng = np.random.default_rng(41)
-    for _ in range(200):
-        # a point in the mass windows, then a random buyer box around b,
-        # with about a third of the lower bounds at 0
-        s, b = (rng.dirichlet(np.ones(n)) * rng.uniform(1.0, cap) for _ in range(2))
-        lb = b * rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.7)
-        ub = b + rng.uniform(0.0, 0.5, n) * (rng.random(n) < 0.7)
-        envelopes, aggregates = _box_rows(grid, lb, ub)
-        blocks = envelopes + aggregates
-        assert sum(len(np.atleast_2d(rows)) for rows, _, _ in blocks) == 4 * n * n + 4 * n
-        x = np.concatenate([s, b, np.outer(s, b).ravel(), [0.0]])
-        for rows, rel, rhs in blocks:
-            lhs = np.atleast_2d(rows) @ x
-            if rel == "<=":
-                assert np.all(lhs <= rhs + 1e-12)
-            else:
-                assert rel == ">="
-                assert np.all(lhs >= rhs - 1e-12)
-
-
 def _held_lp(model):
     """The matrix, row bounds and column bounds a model hands to HiGHS."""
     lp = model._pass().highs.getLp()
@@ -375,25 +356,96 @@ def _held_lp(model):
     return A, lp.row_lower_, lp.row_upper_, lp.col_lower_, lp.col_upper_
 
 
-@pytest.mark.parametrize("prices", [(0.0, 0.3, 0.7, 2.0), REFERENCE_GRID_16.prices])
-def test_box_edits_equal_a_fresh_node_lp(prices):
-    """After any sequence of box writes, splits and jumps between
-    unrelated boxes alike, the model holds exactly the node LP a fresh
-    build of that box gives: every matrix entry, row bound and column
-    bound."""
+def _dense_node_lp(grid, lo, hi):
+    """The node LP over the buyer box lo <= b <= hi, entry by entry, in
+    _held_lp's form: variables (s, b, z, r) with z_ij at 2n + i*n + j; the
+    mass windows, the optimum, the exclusive welfare rows; z_ij against the
+    plane through each McCormick corner (s_end, b_end) of _CORNERS; the
+    aggregates of z's rows and columns; s in [0, cap], b in the box and
+    z_ij in [0, cap * hi_j]."""
+    p, n, cap = grid.prices, grid.n, grid.cap
+    S, B, Z, R = range(n), range(n, 2 * n), 2 * n, 2 * n + n * n
+    rows, row_lo, row_hi = [], [], []
+
+    def row(entries, rel, rhs):
+        a = np.zeros(R + 1)
+        for col, v in entries:
+            a[col] += v
+        rows.append(a)
+        row_lo.append(-np.inf if rel == "<=" else rhs)
+        row_hi.append(np.inf if rel == ">=" else rhs)
+
+    for side in (S, B):
+        row([(k, 1.0) for k in side], ">=", 1.0)
+        row([(k, 1.0) for k in side], "<=", cap)
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    row([(Z + i * n + j, max(p[i], p[j])) for i, j in pairs], ">=", 1.0)
+    for t in range(n):
+        row([(S[i], p[i]) for i in range(n)] + [(R, -1.0)]
+            + [(Z + i * n + j, p[j] - p[i]) for i, j in pairs if i < t < j], "<=", 0.0)
+    for top, upper, rel in fr._CORNERS:
+        s_end = cap if top else 0.0
+        for i, j in pairs:
+            b_end = hi[j] if upper else lo[j]
+            row([(Z + i * n + j, 1.0), (S[i], -b_end), (B[j], -s_end)], rel,
+                -s_end * b_end)
+    window = (min(cap, hi.sum()), max(1.0, lo.sum()))
+    for end, rel in zip(window, ("<=", ">=")):
+        for i in range(n):
+            row([(Z + i * n + j, 1.0) for j in range(n)] + [(S[i], -end)], rel, 0.0)
+    for end, rel in ((cap, "<="), (1.0, ">=")):
+        for j in range(n):
+            row([(Z + i * n + j, 1.0) for i in range(n)] + [(B[j], -end)], rel, 0.0)
+    col_lo = np.concatenate([np.zeros(n), lo, np.zeros(n * n + 1)])
+    col_hi = np.concatenate([np.full(n, cap), hi, np.tile(cap * hi, n), [np.inf]])
+    return np.array(rows), row_lo, row_hi, col_lo, col_hi
+
+
+@pytest.mark.parametrize("prices", [(0.0, 0.5, 1000.0), (0.0, 0.3, 0.7, 2.0)])
+def test_box_rows_contain_every_true_point(prices):
+    """Every point of the program inside a buyer box, with s anywhere in
+    its window and z = s b^T, satisfies every envelope and aggregate row
+    and every column bound the model holds once that box is written, so
+    no branch cuts off a true point."""
     grid = PriceGrid(prices)
     n = grid.n
-    cap = 1.0 + 1.0 / prices[-1]
+    first = n + 5                   # the static rows come first
+    plan = _node_model(grid)
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        # a point in the mass windows, then a random buyer box around b,
+        # with about a third of the lower bounds at 0
+        s, b = (rng.dirichlet(np.ones(n)) * rng.uniform(1.0, grid.cap) for _ in range(2))
+        lb = b * rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.7)
+        ub = b + rng.uniform(0.0, 0.5, n) * (rng.random(n) < 0.7)
+        _set_box(plan, lb, ub)
+        A, row_lo, row_hi, col_lo, col_hi = _held_lp(plan[0])
+        assert len(A) - first == 4 * n * n + 4 * n
+        x = np.concatenate([s, b, np.outer(s, b).ravel(), [0.0]])
+        lhs = A[first:] @ x
+        assert np.all(lhs >= np.asarray(row_lo[first:]) - 1e-12)
+        assert np.all(lhs <= np.asarray(row_hi[first:]) + 1e-12)
+        assert np.all(x >= np.asarray(col_lo) - 1e-12)
+        assert np.all(x <= np.asarray(col_hi) + 1e-12)
+
+
+@pytest.mark.parametrize("prices", [(0.0, 0.3, 0.7, 2.0), REFERENCE_GRID_16.prices])
+def test_box_edits_equal_a_fresh_node_lp(prices):
+    """After any sequence of box writes, the root's first, then splits
+    and jumps between unrelated boxes alike, the model holds exactly the
+    node LP of a fresh model written once with that box, and of the dense
+    reference: every matrix entry, row bound and column bound."""
+    grid = PriceGrid(prices)
+    n = grid.n
     rng = np.random.default_rng(7)
-    box = (np.zeros(n), np.full(n, cap))
-    model = LPModel(_node_lp(grid, *box))
-    plan = _box_plan(model, grid)
-    boxes = [box]
-    for step in range(25):
+    plan = _node_model(grid)
+    lo, hi = np.zeros(n), np.full(n, grid.cap)
+    boxes = []
+    for step in range(26):
         if step % 5 == 4:
             lo, hi = (v.copy() for v in boxes[int(rng.integers(len(boxes)))])
-        else:
-            lo, hi = box[0].copy(), box[1].copy()
+        elif step:
+            lo, hi = lo.copy(), hi.copy()
             for j in rng.choice(n, int(rng.integers(1, 3)), replace=False):
                 cut = rng.uniform(lo[j], hi[j])
                 if rng.random() < 0.5:
@@ -401,16 +453,17 @@ def test_box_edits_equal_a_fresh_node_lp(prices):
                 else:
                     hi[j] = cut
         _set_box(plan, lo, hi)
-        box = (lo, hi)
-        boxes.append(box)
-        got, want = _held_lp(model), _held_lp(LPModel(_node_lp(grid, lo, hi)))
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
-    # the first welfare row's zero on s_0 (p_0 = 0) sits ahead of every
-    # planned entry, so inserting it moves them all: the plan must refuse
-    model.slots([5], [0])
+        boxes.append((lo, hi))
+        fresh = _node_model(grid)
+        _set_box(fresh, lo, hi)
+        for got, want, ref in zip(_held_lp(plan[0]), _held_lp(fresh[0]),
+                                  _dense_node_lp(grid, lo, hi)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(got, ref)
+    # the first welfare row's zero on s_0 (p_0 = 0) is no entry of the
+    # matrix, so no slot names it
     with pytest.raises(ValueError):
-        _set_box(plan, lo, hi)
+        plan[0].slots([5], [0])
 
 
 @pytest.mark.parametrize("role", ["lower", "upper"])
@@ -441,11 +494,14 @@ def test_iteration_limited_child_keeps_its_parents_bound(monkeypatch):
     grid = PriceGrid((0.0, 0.2, 0.5, 1.5, 4.0))
     n = grid.n
     converged = lowerop_solve(grid)
-    root = fr.lp_solve(LPModel(_node_lp(grid, np.zeros(n), np.full(n, 1.25)))).value
+    plan = _node_model(grid)
+    _set_box(plan, np.zeros(n), np.full(n, grid.cap))
+    root = fr.lp_solve(plan[0]).value
     assert converged.info.converged
     assert root < converged.info.lower_bound - 1e-3
     real_set, real_solve = fr._set_box, fr.lp_solve
-    for victim in (1, 2):
+    # the first box written is the root's, the next two its children's
+    for victim in (2, 3):
         children = []
 
         def set_box(*args):
@@ -612,9 +668,18 @@ def test_seeded_five_level_certificate_value():
 
 def test_upperop_search_needs_a_restart():
     g = PriceGrid((0.0, 0.5, 1.0))
-    for restarts in (0, -3):
+    for restarts in (0, -3, 2.5, float("nan")):
         with pytest.raises(ValueError):
             upperop_search(g, restarts=restarts)
+
+
+def test_stopping_rules_take_numpy_integers():
+    g = PriceGrid((0.0, 0.3, 1000.0))
+    a, b = lowerop_solve(g, node_budget=np.int64(5)), lowerop_solve(g, node_budget=5)
+    assert (a, a.info) == (b, b.info)
+    g = PriceGrid((0.0, 0.5, 1.0))
+    a, b = upperop_search(g, restarts=np.int32(2)), upperop_search(g, restarts=2)
+    assert (a, a.info) == (b, b.info)
 
 
 def test_upperop_search_is_deterministic():
@@ -650,6 +715,22 @@ def test_conversion_requires_upper_tight_feasible():
     slack = GridCertificate(g, (1.0, 0.0), (0.0, 1.0), 1.5, "upper")
     with pytest.raises(ValueError):
         upperop_to_instance(slack)
+
+
+def test_conversion_drops_masses_a_rounding_error_below_zero():
+    """verify_certificate lets a mass lie in [-1e-9, 0); the conversion
+    drops it and scales the kept masses by their own sum."""
+    cert = upperop_search(PriceGrid((0.0, 0.5, 1.0, 2.0)), 4, seed=0)
+    s = list(cert.s)
+    assert s[3] == 0.0
+    s[3] -= 1e-10
+    s[1] += 1e-10
+    moved = GridCertificate(cert.grid, tuple(s), cert.b, cert.r, "upper")
+    report = verify_certificate(moved)
+    assert report.feasible and report.r_tight
+    seller = upperop_to_instance(moved).seller
+    assert [v for v, _, _ in seller.atoms] == [0.0, 0.5, 1.0]
+    assert math.fsum(m for _, _, m in seller.atoms) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_search_outputs_convert_within_promise():
