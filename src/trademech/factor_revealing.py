@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import heapq
 import operator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .core import (Instance, DiscreteDistribution, _gain_sweep, _read_only,
                    best_fixed_price, opt_welfare)
-from .numkernel import LPModel, lp_problem, lp_solve
+from .numkernel import lp_problem, lp_solve
 # Unused here; the benchmark's tracer wraps it under this module's name.
 from .numkernel import certified_binary_search  # noqa: F401
 
@@ -91,7 +91,8 @@ class SolveInfo:
     lower_bound, when present, is a proven bound on the program's global
     minimum and hence the number a ratio guarantee may cite. Heuristic
     modes leave it None on purpose. lp_solves is the number of LPs the
-    solve ran, and lp_iterations their simplex iterations summed.
+    solve ran, and lp_iterations their simplex iterations summed; both
+    are read from the counters of the LPModels the solve built.
     """
 
     mode: str
@@ -267,18 +268,7 @@ class CertificateReport:
     worst_slack: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "feasible": self.feasible,
-            "role": self.role,
-            "r": self.r,
-            "r_tight": self.r_tight,
-            "tight_index": self.tight_index,
-            "opt_value": self.opt_value,
-            "rows": list(self.rows),
-            "row_slacks": list(self.row_slacks),
-            "mass_slacks": dict(self.mass_slacks),
-            "worst_slack": self.worst_slack,
-        }
+        return asdict(self)
 
 
 def verify_certificate(c: GridCertificate) -> CertificateReport:
@@ -324,59 +314,64 @@ def verify_certificate(c: GridCertificate) -> CertificateReport:
     )
 
 
-def _half_step(grid, fixed, free, role, held=None, basis=None):
+def _half_model(grid, role):
+    """The half-step LP over (free side, r), built once per solve.
+
+    Both sides' rows are the mass window (two rows, or one equality), h,
+    then G, and only h, G and G's right-hand sides depend on the fixed
+    masses, so one model serves both: it is built with placeholders in h
+    and G, whose slots it resolves, and with placeholder right-hand sides.
+    Returns the plan (grid, model, slots, h_row, inclusive) for _half_step.
+    """
+    n = grid.n
+    h_row = 2 if role == "lower" else 1       # after the mass window
+    ones = np.append(np.ones(n), 0.0)
+    cons = ([(ones, ">=", 1.0), (ones, "<=", grid.cap)] if role == "lower"
+            else [(ones, "=", 1.0)])
+    G_rows = np.append(np.ones((n, n)), -np.ones((n, 1)), axis=1)
+    cons += [(ones, ">=", 1.0), (G_rows, "<=", 0.0)]
+    model = lp_problem(np.append(np.zeros(n), 1.0), cons)
+    row, col = np.divmod(np.arange((n + 1) * n), n)
+    return grid, model, model.slots(h_row + row, col), h_row, role == "upper"
+
+
+def _half_step(plan, fixed, free, basis=None):
     """One LP over (free side, r) with the other side's masses held fixed.
 
     The quadratic optimum constraint is linear once a side is pinned, so
-    each half problem is an honest LP, no relaxation involved. Both sides'
-    rows are the mass window (two rows, or one equality), h, then G, and
-    only h, G and G's right-hand sides depend on the fixed masses, so one
-    model serves both: the first half-step builds it with placeholders in
-    h and G and resolves their slots, and every half-step writes its own
-    values there. held, the (model, slots) of an earlier half-step, skips
-    the build; basis warm-starts the solve. Returns (held, solution).
+    each half problem is an honest LP, no relaxation involved. Writes h,
+    G and G's right-hand sides at these fixed masses into the model of a
+    _half_model plan and solves it; basis warm-starts the solve. Returns
+    the solution.
     """
-    n = grid.n
-    G, h, const = _pinned_rows(grid, fixed, free, role == "upper")
-    h_row = 2 if role == "lower" else 1       # after the mass window
-    if held is None:
-        ones = np.append(np.ones(n), 0.0)
-        cons = ([(ones, ">=", 1.0), (ones, "<=", grid.cap)] if role == "lower"
-                else [(ones, "=", 1.0)])
-        G_rows = np.append(np.ones((n, n)), -np.ones((n, 1)), axis=1)
-        cons += [(ones, ">=", 1.0), (G_rows, "<=", -const)]
-        model = LPModel(lp_problem(np.append(np.zeros(n), 1.0), cons))
-        row, col = np.divmod(np.arange((n + 1) * n), n)
-        held = model, model.slots(h_row + row, col)
-    model, slots = held
+    grid, model, slots, h_row, inclusive = plan
+    G, h, const = _pinned_rows(grid, fixed, free, inclusive)
     model.set_values(slots, np.concatenate([h, G.ravel()]))
-    model.set_rhs(slice(h_row + 1, h_row + 1 + n), -const)
+    model.set_rhs(slice(h_row + 1, h_row + 1 + grid.n), -const)
     sol = lp_solve(model, basis)
     if sol.status != "optimal":
         raise RuntimeError(f"half step LP came back {sol.status}")
-    return held, sol
+    return sol
 
 
-def _alternate(grid, role, b0, rounds, held):
-    """Alternate the two half LPs from a starting buyer vector.
+def _alternate(plan, b0, rounds):
+    """Alternate the two half LPs of a _half_model plan from a starting
+    buyer vector.
 
     The objective never increases: the previous half's optimum stays
     feasible for the next, so the sequence of r values is monotone and the
     loop stops once it stalls. The fixed point is a feasible certificate
-    whose r only upper-bounds the program's global minimum. held[0] is
-    the model the half-steps share (None until built); a side's later
+    whose r only upper-bounds the program's global minimum. A side's later
     half-steps start from the basis of the one before.
-    Returns (s, b, r, rounds, stalled, (LPs solved, simplex iterations)).
+    Returns (s, b, r, rounds, stalled).
     """
+    grid, inclusive = plan[0], plan[4]
     n = grid.n
     bases = {"s": None, "b": None}
-    lp = [0, 0]
 
     def step(fixed, free):
-        held[0], sol = _half_step(grid, fixed, free, role, held[0], bases[free])
+        sol = _half_step(plan, fixed, free, bases[free])
         bases[free] = sol.basis
-        lp[0] += 1
-        lp[1] += sol.iterations
         return sol.x[:n], float(sol.value)
 
     b = np.asarray(b0, dtype=float)
@@ -389,30 +384,25 @@ def _alternate(grid, role, b0, rounds, held):
         r = r_s
         if stalled:
             break
-    rows = welfare_rows(grid, s, b, inclusive=(role == "upper"))
-    return s, b, float(rows.max()), done, stalled, tuple(lp)
+    rows = welfare_rows(grid, s, b, inclusive=inclusive)
+    return s, b, float(rows.max()), done, stalled
 
 
-def _best_alternate(grid, role, starts, rounds, held=None):
-    """Run the alternating descent from each starting buyer vector and
-    keep the lowest (r, s, b). Returns r, s, b, the rounds run over all
-    starts, whether the kept run stalled, and (LPs solved, simplex
-    iterations) over all starts. The starts share one half-step model,
-    kept in held (see _alternate) when the caller passes that list."""
+def _best_alternate(plan, starts, rounds):
+    """Run the alternating descent from each starting buyer vector, all
+    on the model of one _half_model plan, and keep the lowest (r, s, b).
+    Returns r, s, b, the rounds run over all starts, and whether the kept
+    run stalled."""
     best = None
-    total = solves = pivots = 0
-    held = [None] if held is None else held
+    total = 0
     for b0 in starts:
-        s, b, r, done, stalled, (run_solves, run_pivots) = _alternate(
-            grid, role, b0, rounds, held)
+        s, b, r, done, stalled = _alternate(plan, b0, rounds)
         total += done
-        solves += run_solves
-        pivots += run_pivots
         run = (r, tuple(s), tuple(b))
         if best is None or run < best[0]:
             best = (run, stalled)
     (r, s, b), stalled = best
-    return r, s, b, total, stalled, (solves, pivots)
+    return r, s, b, total, stalled
 
 
 def _check_count(value, name):
@@ -460,10 +450,11 @@ def lowerop_solve(grid: PriceGrid, mode: str = "branch_and_bound", *,
     low2[:2] = 0.5
     starts = [np.full(n, 1.0 / n), inv / inv.sum(), low2]
     if mode == "alternating":
-        r, s, b, iters, stalled, (solves, pivots) = _best_alternate(
-            grid, "lower", starts, 60)
-        info = SolveInfo(mode="alternating", iterations=iters, lp_solves=solves,
-                         lp_iterations=pivots, upper_bound=r, converged=stalled)
+        half = _half_model(grid, "lower")
+        r, s, b, iters, stalled = _best_alternate(half, starts, 60)
+        info = SolveInfo(mode="alternating", iterations=iters, lp_solves=half[1].solves,
+                         lp_iterations=half[1].iterations, upper_bound=r,
+                         converged=stalled)
         return GridCertificate(grid, s, b, r, "lower", info)
     if mode != "branch_and_bound":
         raise ValueError(f"unknown mode {mode!r}")
@@ -519,7 +510,7 @@ def _node_model(grid):
     col_hi = np.full(E.shape[0], np.inf)
     col_hi[:n] = cap
     bounds = np.column_stack([np.zeros_like(col_hi), col_hi])
-    model = LPModel(lp_problem(R, cons, bounds=bounds))
+    model = lp_problem(R, cons, bounds=bounds)
     first = n + 5                       # the static rows come first
     slots = model.slots(first + np.arange(4 * n * n + 2 * n),
                         np.concatenate([pi, pi, pi, pi, t, t]))
@@ -558,16 +549,16 @@ def _branch_and_bound(grid, starts, node_budget, gap_tol):
     write their box there (_set_box), and a child solves from its parent's
     basis, carried by the heap. A child whose LP hits the iteration limit
     is set aside with its parent's bound. Incumbent half-steps edit the
-    opening descent's half-step model.
+    opening descent's half-step model; the tree's LP counts are the two
+    models' counters.
     """
     n = grid.n
 
     # Each half-step is an honest LP, always feasible because the mass
     # windows allow enough weight at the top level to cover the optimum
     # constraint, so the best descent is a true incumbent.
-    held = [None]
-    inc_r, inc_s, inc_b, _, _, (solves, pivots) = _best_alternate(
-        grid, "lower", starts, 40, held)
+    half = _half_model(grid, "lower")
+    inc_r, inc_s, inc_b, _, _ = _best_alternate(half, starts, 40)
 
     weight = grid.pair_max.ravel() + 1.0
     box0 = (np.zeros(n), np.full(n, grid.cap))
@@ -575,8 +566,6 @@ def _branch_and_bound(grid, starts, node_budget, gap_tol):
     model = plan[0]
     _set_box(plan, *box0)
     sol0 = lp_solve(model)
-    solves += 1
-    pivots += sol0.iterations
     if sol0.status != "optimal":
         raise RuntimeError(f"root relaxation came back {sol0.status}")
     nodes = 1
@@ -585,17 +574,14 @@ def _branch_and_bound(grid, starts, node_budget, gap_tol):
     # Bounds of regions set aside without being fully resolved; they keep
     # the final lower bound honest even when exploration stops early.
     stalled = []
-    seller, fix = held[0], None     # the last half-step warms the next
+    fix = None                      # the last half-step warms the next
     while heap and nodes + 2 <= node_budget:
         bound, _, (lo, hi), x, basis = heapq.heappop(heap)
         if bound >= inc_r - 1e-12:
             continue
         s_val, b_val = x[:n], x[n:2 * n]
         b_fix = np.maximum(b_val, 0.0)
-        seller, fix = _half_step(grid, b_fix, "s", "lower", seller,
-                                 None if fix is None else fix.basis)
-        solves += 1
-        pivots += fix.iterations
+        fix = _half_step(half, b_fix, "s", None if fix is None else fix.basis)
         s_fix = fix.x[:n]
         r_fix = float(welfare_rows(grid, s_fix, b_fix, inclusive=False).max())
         if r_fix < inc_r:
@@ -621,8 +607,6 @@ def _branch_and_bound(grid, starts, node_budget, gap_tol):
             _set_box(plan, *child_box)
             sol = lp_solve(model, basis)
             nodes += 1
-            solves += 1
-            pivots += sol.iterations
             if sol.status == "iteration_limit":
                 # unresolved, not empty: the parent's bound still holds
                 stalled.append(bound)
@@ -632,8 +616,9 @@ def _branch_and_bound(grid, starts, node_budget, gap_tol):
                                       sol.basis))
     lower = min([inc_r] + [h[0] for h in heap] + stalled)
     gap = inc_r - lower
-    info = SolveInfo(mode="branch_and_bound", nodes=nodes, lp_solves=solves,
-                     lp_iterations=pivots,
+    info = SolveInfo(mode="branch_and_bound", nodes=nodes,
+                     lp_solves=half[1].solves + model.solves,
+                     lp_iterations=half[1].iterations + model.iterations,
                      lower_bound=float(lower), upper_bound=float(inc_r),
                      gap=float(gap), converged=bool(gap <= gap_tol))
     return GridCertificate(grid, tuple(inc_s), tuple(inc_b), float(inc_r),
@@ -661,9 +646,11 @@ def upperop_search(grid: PriceGrid, restarts: int = 8, *,
     n = work.n
     rngs = (np.random.default_rng(seed + k) for k in range(1, restarts))
     starts = [np.full(n, 1.0 / n)] + [rng.dirichlet(np.ones(n)) for rng in rngs]
-    r, s, b, iters, _, (solves, pivots) = _best_alternate(work, "upper", starts, 40)
-    info = SolveInfo(mode="upperop_alternating", iterations=iters, lp_solves=solves,
-                     lp_iterations=pivots, restarts=restarts, upper_bound=r)
+    half = _half_model(work, "upper")
+    r, s, b, iters, _ = _best_alternate(half, starts, 40)
+    info = SolveInfo(mode="upperop_alternating", iterations=iters,
+                     lp_solves=half[1].solves, lp_iterations=half[1].iterations,
+                     restarts=restarts, upper_bound=r)
     return GridCertificate(work, s, b, r, "upper", info)
 
 
@@ -805,6 +792,9 @@ def certificate_from_json(obj) -> GridCertificate:
     missing = {"role", "prices", "s", "b", "r"} - set(obj)
     if missing:
         raise ValueError(f"certificate JSON missing {sorted(missing)}")
+    # a string would pass tuple() one character at a time
+    if not all(isinstance(obj[k], list) for k in ("prices", "s", "b")):
+        raise ValueError("certificate JSON fields must be numbers and lists")
     try:
         return GridCertificate(PriceGrid(tuple(obj["prices"])),
                                tuple(obj["s"]), tuple(obj["b"]),

@@ -15,14 +15,15 @@ real module name, so a later import of scipy.optimize reuses it instead
 of loading it a second time (a second copy fails to register its types).
 
 One HiGHS solver object, made with its options on the first solve, serves
-every solve. An LPModel holds only arrays, edited in place; its layout, the
+every solve. An LPModel, the one LP type, holds only arrays, edited in
+place, and counts its own solves and simplex iterations; its layout, the
 set of matrix entries, is fixed when it is built, so related LPs build their
-matrix once. lp_solve, the one way to solve, hands the model (a throwaway
-one for an LPProblem) whole to the solver object, which drops the model,
-basis and solution it held: a solve starts cold unless given the basis of
-an optimal solve with the same rows and columns. Solves must not run in
-several threads at once. Presolve is off: with it on, HiGHS's time in a
-lower_bnb round rose from 20 to 34 ms (best of 30, 2 vCPUs).
+matrix once. lp_solve, the one way to solve, hands the model whole to the
+solver object, which drops the model, basis and solution it held: a solve
+starts cold unless given the basis of an optimal solve with the same rows
+and columns. Solves must not run in several threads at once. Presolve is
+off: with it on, HiGHS's time in a lower_bnb round rose from 20 to 34 ms
+(best of 30, 2 vCPUs).
 """
 
 from __future__ import annotations
@@ -41,22 +42,6 @@ _RELATIONS = {"<=": -1, "=": 0, ">=": 1}
 _HIGHS_MODULE = "scipy.optimize._highspy._core"
 
 
-@dataclass(frozen=True)
-class LPProblem:
-    """Minimize or maximize c @ x subject to A @ x (rel) rhs, lo <= x <= hi.
-
-    rel holds -1, 0, +1 for '<=', '=', '>='; lo and hi hold -inf and +inf
-    where a variable has no bound. lp_problem builds and validates one."""
-
-    c: np.ndarray
-    A: np.ndarray
-    rel: np.ndarray
-    rhs: np.ndarray
-    lo: np.ndarray
-    hi: np.ndarray
-    sense: str = "min"
-
-
 @dataclass
 class LPSolution:
     # 'optimal' | 'infeasible' | 'unbounded' | 'iteration_limit'
@@ -68,8 +53,8 @@ class LPSolution:
     basis: object = None             # HiGHS basis of an optimal solve
 
 
-def lp_problem(objective, constraints, bounds=None, sense="min") -> LPProblem:
-    """Stack constraint blocks into an LPProblem.
+def lp_problem(objective, constraints, bounds=None, sense="min") -> LPModel:
+    """Stack constraint blocks into an LPModel.
 
     Each constraint is a block (rows, rel, rhs): rows is one row of
     length n or a 2-D array with n columns, rel is '<=', '=' or '>=' for
@@ -111,7 +96,7 @@ def lp_problem(objective, constraints, bounds=None, sense="min") -> LPProblem:
         lo, hi = box[:, 0], box[:, 1]
         if not (np.all(lo < np.inf) and np.all(hi > -np.inf)):
             raise ValueError("bounds must not be NaN, +inf below or -inf above")
-    return LPProblem(c, A, rel, rhs, lo, hi, sense)
+    return LPModel(c, A, rel, rhs, lo, hi, sense)
 
 
 def _highs():
@@ -156,12 +141,19 @@ def _solver():
 
 
 class LPModel:
-    """An LPProblem held as arrays and edited in place.
+    """Minimize or maximize c @ x subject to A @ x (rel) rhs, lo <= x <= hi,
+    held as arrays and edited in place.
+
+    rel holds -1, 0, +1 for '<=', '=', '>='; lo and hi hold -inf and +inf
+    where a variable has no bound. lp_problem builds and validates one;
+    the constructor takes the arrays as given and validates nothing.
+    solves and iterations count the solves lp_solve has run on the model,
+    whatever their status, and their simplex iterations.
 
     The layout is fixed when the model is built: its matrix holds the
-    nonzero entries of the problem's A, column-wise, and never gains or
-    loses one. Edits change column bounds, the values of those entries
-    and right-hand sides; rows keep their relations. A builder that edits
+    nonzero entries of A, column-wise, and never gains or loses one.
+    Edits change column bounds, the values of those entries and
+    right-hand sides; rows keep their relations. A builder that edits
     a coefficient later puts a nonzero placeholder there. slots(rows,
     cols) resolves where entries sit, and set_values(slots, values) writes
     there; a value may be zero, which HiGHS drops from that solve alone.
@@ -173,23 +165,24 @@ class LPModel:
     a fresh solve).
     """
 
-    def __init__(self, prob: LPProblem):
-        m, n = prob.A.shape
-        cols, rows = np.nonzero(prob.A.T)
+    def __init__(self, c, A, rel, rhs, lo, hi, sense="min"):
+        m, n = A.shape
+        cols, rows = np.nonzero(A.T)
         self._m, self._n = m, n
         self._key = cols * m + rows             # sorted column by column
-        self._value = prob.A[rows, cols]
+        self._value = A[rows, cols]
         # HiGHS's column starts and row indices
         self._start = np.searchsorted(cols, np.arange(n)).astype(np.int32)
         self._index = rows.astype(np.int32)
         self._integrality = np.zeros(n, dtype=np.int32)
-        self._c, self._sense = prob.c.copy(), prob.sense
-        self._lo, self._hi = prob.lo.copy(), prob.hi.copy()
+        self._c, self._sense = np.array(c, dtype=float), sense
+        self._lo, self._hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
         # an rhs clipped to these is its row's bounds, infinite on open sides
-        self._lo_cap = np.where(prob.rel >= 0, np.inf, -np.inf)
-        self._hi_cap = np.where(prob.rel <= 0, -np.inf, np.inf)
-        self._row_lo, self._row_hi = (np.minimum(prob.rhs, self._lo_cap),
-                                      np.maximum(prob.rhs, self._hi_cap))
+        self._lo_cap = np.where(rel >= 0, np.inf, -np.inf)
+        self._hi_cap = np.where(rel <= 0, -np.inf, np.inf)
+        self._row_lo, self._row_hi = (np.minimum(rhs, self._lo_cap),
+                                      np.maximum(rhs, self._hi_cap))
+        self.solves = self.iterations = 0
 
     def set_bounds(self, cols, lo, hi):
         """Give columns cols the bounds lo <= x <= hi (arrays or scalars)."""
@@ -240,20 +233,21 @@ class LPModel:
         return solver
 
 
-def lp_solve(prob, basis=None) -> LPSolution:
-    """Solve an LPProblem or an LPModel as it stands; see LPSolution for
-    the contract. basis, from an earlier optimal LPSolution of a problem
-    with the same rows and columns, is where the dual simplex starts;
-    without it the solve starts cold, from the slack basis.
+def lp_solve(model: LPModel, basis=None) -> LPSolution:
+    """Solve an LPModel as it stands; see LPSolution for the contract.
+    basis, from an earlier optimal LPSolution of a problem with the same
+    rows and columns, is where the dual simplex starts; without it the
+    solve starts cold, from the slack basis.
 
     The dual vector has one entry per row, signed so that for 'min' duals
     of '<=' rows are <= 0 and of '>=' rows >= 0 (conversely for 'max'),
     with value = dual @ rhs + bound terms.
     A solve that reaches the simplex iteration limit ends with status
-    'iteration_limit' and no solution. Raises RuntimeError if HiGHS ends
-    in any other state than optimal, infeasible or unbounded.
+    'iteration_limit' and no solution. Every solve that returns adds one
+    to model.solves and its iterations to model.iterations. Raises
+    RuntimeError if HiGHS ends in any other state than optimal,
+    infeasible or unbounded.
     """
-    model = prob if isinstance(prob, LPModel) else LPModel(prob)
     solver = model._pass()
     highs = solver.highs
     if basis is not None and highs.setBasis(basis) == solver.error:
@@ -264,6 +258,8 @@ def lp_solve(prob, basis=None) -> LPSolution:
     iterations = int(highs.getInfoValue("simplex_iteration_count")[1])
     if status is None:
         raise RuntimeError(f"HiGHS ended with {highs.modelStatusToString(end)}")
+    model.solves += 1
+    model.iterations += iterations
     if status != "optimal":
         return LPSolution(status=status, iterations=iterations)
     solution = highs.getSolution()

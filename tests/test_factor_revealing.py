@@ -6,6 +6,7 @@ expected quantity with plain loops and scipy. Values frozen here were
 produced by the named oracle function at the stated arguments.
 """
 
+import dataclasses
 import json
 import math
 import sys
@@ -24,8 +25,9 @@ from trademech.core import (
 )
 import trademech.factor_revealing as fr
 from trademech.factor_revealing import (
-    GridCertificate, PriceGrid, REFERENCE_GRID_16, _best_alternate, _half_step,
-    _node_model, _pinned_rows, _set_box, _row_gains,
+    CertificateReport, GridCertificate, PriceGrid, REFERENCE_GRID_16,
+    _best_alternate, _half_model, _half_step, _node_model, _pinned_rows,
+    _set_box, _row_gains,
     certificate_from_json, certificate_to_json, convergence_bracket,
     discretize_distribution, lowerop_solve, one_sided_certify, one_sided_value,
     opt_quadratic, upperop_search, upperop_to_instance, verify_certificate,
@@ -244,6 +246,7 @@ def test_verify_report_round_trips_as_json():
                         "upper")
     blob = json.dumps(verify_certificate(c).to_json_dict())
     back = json.loads(blob)
+    assert list(back) == [f.name for f in dataclasses.fields(CertificateReport)]
     assert back["feasible"] is True
     assert back["row_slacks"] == [0.0, 1.0]
 
@@ -322,7 +325,7 @@ def test_alternating_reports_a_stall_on_its_last_round():
     g = PriceGrid((0.0, 0.35, 0.8, 1000.0))
     inv = 1.0 / (1.0 + g.levels)
     starts = [np.full(4, 0.25), inv / inv.sum(), np.array([0.5, 0.5, 0.0, 0.0])]
-    _, _, _, iters, stalled, _ = _best_alternate(g, "lower", starts, 2)
+    _, _, _, iters, stalled = _best_alternate(_half_model(g, "lower"), starts, 2)
     assert (iters, stalled) == (4, True)
 
 
@@ -475,14 +478,15 @@ def test_half_step_edits_equal_a_fresh_half_step(free, role):
     ("sb"), as in a descent, whose two sides share one model."""
     grid = PriceGrid((0.0, 0.2, 0.5, 1.5, 4.0))
     rng = np.random.default_rng(13)
-    held = None
+    plan = _half_model(grid, role)
     for k in range(8):
         side = free[k % len(free)]
         fixed = rng.dirichlet(np.ones(grid.n)) * (rng.random(grid.n) < 0.7)
         fixed[-1] += 1.0 - fixed.sum()
-        held, got = _half_step(grid, fixed, side, role, held)
-        (fresh, _), want = _half_step(grid, fixed, side, role)
-        for g, w in zip(_held_lp(held[0]), _held_lp(fresh)):
+        got = _half_step(plan, fixed, side)
+        fresh = _half_model(grid, role)
+        want = _half_step(fresh, fixed, side)
+        for g, w in zip(_held_lp(plan[1]), _held_lp(fresh[1])):
             assert np.array_equal(g, w)
         assert got.value == want.value
 
@@ -548,15 +552,18 @@ def test_solves_repeat_exactly(solve):
     lambda: upperop_search(PriceGrid((0.0, 0.3, 0.7, 1.4)), restarts=4, seed=3),
 ], ids=["bnb", "alternating", "upper"])
 def test_lp_solves_counts_every_lp(solve, monkeypatch):
-    calls = []
+    pivots = []
     real = fr.lp_solve
 
     def counted(prob, basis=None):
-        calls.append(True)
-        return real(prob, basis)
+        sol = real(prob, basis)
+        pivots.append(sol.iterations)
+        return sol
 
     monkeypatch.setattr(fr, "lp_solve", counted)
-    assert solve().info.lp_solves == len(calls) > 0
+    info = solve().info
+    assert info.lp_solves == len(pivots) > 0
+    assert info.lp_iterations == sum(pivots) > 0
 
 
 # The benchmark's lower_bnb grids with their gap_tol, and per grid r,
@@ -902,6 +909,10 @@ def test_certificate_json_rejects_garbage():
     for key, bad in (("prices", 5), ("s", None), ("r", None), ("b", [None, 1.0])):
         with pytest.raises(ValueError):
             certificate_from_json({**good, key: bad})
+    # strings are sequences of characters, not JSON arrays
+    with pytest.raises(ValueError, match="numbers and lists"):
+        certificate_from_json(json.loads(
+            '{"role": "upper", "prices": "12", "s": "10", "b": "01", "r": 1}'))
 
 
 # ------------------------------------ the sixteen-level reference grid

@@ -9,7 +9,6 @@ from scipy.optimize import linprog
 
 import trademech
 from trademech.numkernel import LPModel, lp_problem, lp_solve
-from trademech.numkernel.lp import LPProblem
 
 DATA = Path(__file__).parent / "data"
 
@@ -208,14 +207,39 @@ def test_cycling_node_lp_stops_at_the_iteration_limit():
     for good (over 92,000 iterations in 5 s); the same rows with the
     '<=' rows first solve in 300 iterations. The iteration limit turns
     the spin into a status the callers handle."""
-    d = np.load(DATA / "cycling_node_lp.npz")
-    A = np.zeros(tuple(d["shape"]))
-    A[d["rows"], d["cols"]] = d["vals"]
-    prob = LPProblem(d["c"], A, d["rel"], d["rhs"], d["lo"], d["hi"])
-    sol = lp_solve(prob)
+    sol = lp_solve(_cycling_node_lp())
     assert sol.status == "iteration_limit"
     assert sol.x is None and sol.basis is None
     assert sol.iterations > 907
+
+
+def _cycling_node_lp():
+    d = np.load(DATA / "cycling_node_lp.npz")
+    A = np.zeros(tuple(d["shape"]))
+    A[d["rows"], d["cols"]] = d["vals"]
+    return LPModel(d["c"], A, d["rel"], d["rhs"], d["lo"], d["hi"])
+
+
+def test_models_count_their_solves_whatever_the_status():
+    """A model's solves and iterations add up every solve run on it:
+    optimal, infeasible, unbounded and stopped at the iteration limit."""
+    cases = [
+        (lp_problem([1.0, 1.0], [([1.0, 2.0], ">=", 2.0), ([3.0, 1.0], ">=", 3.0)]),
+         "optimal"),
+        (lp_problem([1.0], [([1.0], "<=", -1.0), ([1.0], ">=", 1.0)]), "infeasible"),
+        (lp_problem([1.0], [([1.0], ">=", 1.0)], sense="max"), "unbounded"),
+        (_cycling_node_lp(), "iteration_limit"),
+    ]
+    for model, status in cases:
+        assert (model.solves, model.iterations) == (0, 0)
+        sol = lp_solve(model)
+        assert sol.status == status
+        assert (model.solves, model.iterations) == (1, sol.iterations)
+    optimal = cases[0][0]
+    again = lp_solve(optimal)
+    assert (optimal.solves, optimal.iterations) == (2, 2 * again.iterations)
+    assert again.iterations > 0
+    assert cases[-1][0].iterations > 907
 
 
 def test_optimal_basis_restarts_without_pivots():
@@ -232,23 +256,23 @@ def test_optimal_basis_restarts_without_pivots():
 
 def test_shared_solver_keeps_models_apart():
     """Every solve goes through one HiGHS solver object. Interleaved with
-    solves of a model of another shape and of a throwaway LPProblem, a
-    cold solve of a model repeats that model's first cold solve, solution
-    and iteration count alike, and a warm start from a basis repeats the
-    first solve from that basis."""
+    solves of models of other shapes, a cold solve of a model repeats
+    that model's first cold solve, solution and iteration count alike,
+    and a warm start from a basis repeats the first solve from that
+    basis."""
     rng = np.random.default_rng(5)
 
     def model(n, m):
         A = rng.uniform(0.1, 1.0, (m, n))
-        return LPModel(lp_problem(rng.uniform(1.0, 2.0, n), [(A, ">=", 1.0)]))
+        return lp_problem(rng.uniform(1.0, 2.0, n), [(A, ">=", 1.0)])
 
     models = [model(4, 3), model(7, 5)]
     cold = [lp_solve(m) for m in models]
     warm = [lp_solve(m, c.basis) for m, c in zip(models, cold)]
-    throwaway = lp_problem([1.0, -1.0], [([1.0, 1.0], "<=", 2.0)], sense="max")
+    other = lp_problem([1.0, -1.0], [([1.0, 1.0], "<=", 2.0)], sense="max")
     for _ in range(3):
         for m, want_cold, want_warm in zip(models, cold, warm):
-            assert lp_solve(throwaway).status == "optimal"
+            assert lp_solve(other).status == "optimal"
             # each cold solve follows a warm one of its model, so a basis
             # left behind in the solver would show in its iteration count
             for got, want in ((lp_solve(m, want_cold.basis), want_warm),
@@ -278,7 +302,7 @@ def test_model_edits_match_a_fresh_solve(seed):
         return lp_problem(c, [(A[k], rels[k], rhs[k]) for k in range(m)],
                           bounds=np.column_stack([lo, hi]), sense=sense)
 
-    model = LPModel(fresh())
+    model = fresh()
     held = np.flatnonzero(A)        # the model's entries, as row * n + col
     basis = None
     for _ in range(4):
@@ -303,7 +327,7 @@ def test_model_edits_match_a_fresh_solve(seed):
 
 
 def test_model_edits_reject_bad_values():
-    model = LPModel(lp_problem([1.0, 1.0], [([1.0, 1.0], ">=", 1.0)]))
+    model = lp_problem([1.0, 1.0], [([1.0, 1.0], ">=", 1.0)])
     with pytest.raises(ValueError):
         model.set_values(model.slots([0], [0]), [float("nan")])
     with pytest.raises(IndexError):
@@ -321,7 +345,7 @@ def test_slots_on_a_matrix_without_entries():
     """Slots name only entries the built matrix holds: on a matrix without
     any, every slot raises ValueError, and the model's other edits solve
     like a fresh LP of the edited data."""
-    model = LPModel(lp_problem([1.0, 1.0], [([0.0, 0.0], ">=", -1.0)]))
+    model = lp_problem([1.0, 1.0], [([0.0, 0.0], ">=", -1.0)])
     for rows, cols in (([0], [0]), ([0, 0], [1, 1])):
         with pytest.raises(ValueError):
             model.slots(rows, cols)
