@@ -322,6 +322,18 @@ def instance_to_json(inst: Instance) -> dict:
     return {"seller": side(inst.seller), "buyer": side(inst.buyer)}
 
 
+def _json_number(x, where) -> float:
+    """x as a float if it is a JSON number, an int or a float but not a
+    bool; anything else, a numeric string too, raises ValueError, as does
+    an int too large for a float."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise ValueError(f"{where} must be numbers, not {type(x).__name__}")
+    try:
+        return float(x)
+    except OverflowError:
+        raise ValueError(f"{where} must be finite") from None
+
+
 def instance_from_json(obj) -> Instance:
     if not isinstance(obj, dict) or "seller" not in obj or "buyer" not in obj:
         raise ValueError("instance JSON needs 'seller' and 'buyer' lists")
@@ -333,11 +345,8 @@ def instance_from_json(obj) -> Instance:
         for row in rows:
             if not isinstance(row, dict) or "v" not in row or "p" not in row:
                 raise ValueError(f"each {name} atom needs 'v' and 'p'")
-            try:
-                atoms.append((float(row["v"]), float(row.get("tie", 0.5)),
-                              float(row["p"])))
-            except TypeError as e:
-                raise ValueError(f"{name} atom fields must be numbers") from e
+            atoms.append(tuple(_json_number(x, f"{name} atom fields")
+                               for x in (row["v"], row.get("tie", 0.5), row["p"])))
         return DiscreteDistribution.from_atoms(atoms)
 
     return Instance(side(obj["seller"], "seller"), side(obj["buyer"], "buyer"))

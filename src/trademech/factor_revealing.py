@@ -21,8 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (Instance, DiscreteDistribution, _gain_sweep, _read_only,
-                   best_fixed_price, opt_welfare)
+from .core import (Instance, DiscreteDistribution, _gain_sweep, _json_number,
+                   _read_only, best_fixed_price, opt_welfare)
 from .numkernel import lp_problem, lp_solve
 # Unused here; the benchmark's tracer wraps it under this module's name.
 from .numkernel import certified_binary_search  # noqa: F401
@@ -348,56 +348,44 @@ def _half_step(plan, fixed, free, basis=None):
     G, h, const = _pinned_rows(grid, fixed, free, inclusive)
     model.set_values(slots, np.concatenate([h, G.ravel()]))
     model.set_rhs(slice(h_row + 1, h_row + 1 + grid.n), -const)
-    sol = lp_solve(model, basis)
-    if sol.status != "optimal":
-        raise RuntimeError(f"half step LP came back {sol.status}")
-    return sol
-
-
-def _alternate(plan, b0, rounds):
-    """Alternate the two half LPs of a _half_model plan from a starting
-    buyer vector.
-
-    The objective never increases: the previous half's optimum stays
-    feasible for the next, so the sequence of r values is monotone and the
-    loop stops once it stalls. The fixed point is a feasible certificate
-    whose r only upper-bounds the program's global minimum. A side's later
-    half-steps start from the basis of the one before.
-    Returns (s, b, r, rounds, stalled).
-    """
-    grid, inclusive = plan[0], plan[4]
-    n = grid.n
-    bases = {"s": None, "b": None}
-
-    def step(fixed, free):
-        sol = _half_step(plan, fixed, free, bases[free])
-        bases[free] = sol.basis
-        return sol.x[:n], float(sol.value)
-
-    b = np.asarray(b0, dtype=float)
-    s, r = step(b, "s")
-    done, stalled = 0, False
-    for done in range(1, rounds + 1):
-        b, _ = step(s, "b")
-        s, r_s = step(b, "s")
-        stalled = r - r_s < 1e-12
-        r = r_s
-        if stalled:
-            break
-    rows = welfare_rows(grid, s, b, inclusive=inclusive)
-    return s, b, float(rows.max()), done, stalled
+    return lp_solve(model, basis).optimal("half step LP")
 
 
 def _best_alternate(plan, starts, rounds):
     """Run the alternating descent from each starting buyer vector, all
     on the model of one _half_model plan, and keep the lowest (r, s, b).
+
+    A run solves the seller half at its start, then alternates the buyer
+    and seller halves for at most rounds rounds. The objective never
+    increases: the previous half's optimum stays feasible for the next, so
+    the sequence of r values is monotone and the run stops once it stalls.
+    Its fixed point is a feasible certificate whose r, the worst welfare
+    row there, only upper-bounds the program's global minimum. Within a
+    run each side's half-step starts from that side's previous basis; the
+    run's first s-step and first b-step start cold.
     Returns r, s, b, the rounds run over all starts, and whether the kept
-    run stalled."""
+    run stalled.
+    """
+    grid, inclusive = plan[0], plan[4]
+    n = grid.n
     best = None
     total = 0
     for b0 in starts:
-        s, b, r, done, stalled = _alternate(plan, b0, rounds)
+        b = np.asarray(b0, dtype=float)
+        sol_s, sol_b = _half_step(plan, b, "s"), None
+        s, r = sol_s.x[:n], float(sol_s.value)
+        done, stalled = 0, False
+        for done in range(1, rounds + 1):
+            sol_b = _half_step(plan, s, "b", None if sol_b is None else sol_b.basis)
+            b = sol_b.x[:n]
+            sol_s = _half_step(plan, b, "s", sol_s.basis)
+            s, r_s = sol_s.x[:n], float(sol_s.value)
+            stalled = r - r_s < 1e-12
+            r = r_s
+            if stalled:
+                break
         total += done
+        r = float(welfare_rows(grid, s, b, inclusive=inclusive).max())
         run = (r, tuple(s), tuple(b))
         if best is None or run < best[0]:
             best = (run, stalled)
@@ -565,12 +553,10 @@ def _branch_and_bound(grid, starts, node_budget, gap_tol):
     plan = _node_model(grid)
     model = plan[0]
     _set_box(plan, *box0)
-    sol0 = lp_solve(model)
-    if sol0.status != "optimal":
-        raise RuntimeError(f"root relaxation came back {sol0.status}")
+    sol0 = lp_solve(model).optimal("root relaxation")
     nodes = 1
-    counter = 0
-    heap = [(float(sol0.value), counter, box0, sol0.x, sol0.basis)]
+    # nodes rises with every child solve, so it orders entries of equal bound
+    heap = [(float(sol0.value), nodes, box0, sol0.x, sol0.basis)]
     # Bounds of regions set aside without being fully resolved; they keep
     # the final lower bound honest even when exploration stops early.
     stalled = []
@@ -611,8 +597,7 @@ def _branch_and_bound(grid, starts, node_budget, gap_tol):
                 # unresolved, not empty: the parent's bound still holds
                 stalled.append(bound)
             elif sol.status == "optimal" and sol.value < inc_r - 1e-12:
-                counter += 1
-                heapq.heappush(heap, (float(sol.value), counter, child_box, sol.x,
+                heapq.heappush(heap, (float(sol.value), nodes, child_box, sol.x,
                                       sol.basis))
     lower = min([inc_r] + [h[0] for h in heap] + stalled)
     gap = inc_r - lower
@@ -724,9 +709,8 @@ def one_sided_value(grid: PriceGrid, fixed_side: str, fixed_vector, r: float):
         raise ValueError("ratio must lie in [0, 1]")
     cons, margin, const = _one_sided_lp(grid, fixed_side, fixed_vector)
     bounds = [(0.0, None)] * (grid.n + 3) + [(r, r)]
-    sol = lp_solve(lp_problem(margin, cons, bounds=bounds, sense="max"))
-    if sol.status != "optimal":
-        raise RuntimeError(f"one-sided LP came back {sol.status}")
+    model = lp_problem(margin, cons, bounds=bounds, sense="max")
+    sol = lp_solve(model).optimal("one-sided LP")
     return float(sol.value) + const, sol.x[:grid.n]
 
 
@@ -740,9 +724,7 @@ def one_sided_certify(grid: PriceGrid, fixed_side: str, fixed_vector) -> float:
     cons, margin, const = _one_sided_lp(grid, fixed_side, fixed_vector)
     bounds = [(0.0, None)] * (grid.n + 3) + [(0.0, 1.0)]
     sol = lp_solve(lp_problem(np.eye(grid.n + 4)[-1], cons + [(margin, ">=", -const)],
-                              bounds=bounds, sense="max"))
-    if sol.status != "optimal":
-        raise RuntimeError(f"one-sided LP came back {sol.status}")
+                              bounds=bounds, sense="max")).optimal("one-sided LP")
     # a basic r can sit a rounding error outside its bounds
     return float(np.clip(sol.value, 0.0, 1.0))
 
@@ -795,9 +777,7 @@ def certificate_from_json(obj) -> GridCertificate:
     # a string would pass tuple() one character at a time
     if not all(isinstance(obj[k], list) for k in ("prices", "s", "b")):
         raise ValueError("certificate JSON fields must be numbers and lists")
-    try:
-        return GridCertificate(PriceGrid(tuple(obj["prices"])),
-                               tuple(obj["s"]), tuple(obj["b"]),
-                               float(obj["r"]), obj["role"])
-    except TypeError as e:
-        raise ValueError("certificate JSON fields must be numbers and lists") from e
+    prices, s, b = (tuple(_json_number(x, "certificate JSON entries") for x in obj[k])
+                    for k in ("prices", "s", "b"))
+    return GridCertificate(PriceGrid(prices), s, b,
+                           _json_number(obj["r"], "certificate JSON entries"), obj["role"])

@@ -44,6 +44,26 @@ def s_side_min(p, b, cap_total):
     return float(res.fun) if res.status == 0 else None
 
 
+def one_sided_buyer_ratio(p, b):
+    """The one-sided ratio for a pinned buyer b, from its plain LP.
+
+    With b pinned the welfare rows have no constant term, so the margin
+    of a lottery omega is linear in the seller masses s, and every unit
+    vector is an admissible s. The adversary then ranges over the whole
+    orthant, and omega guarantees r exactly when, level by level,
+    sum_t omega_t strict_row_coeffs(p, b, t)[i] >= r * sum_j b_j max(p_i, p_j).
+    Returns the largest such r in [0, 1] over omega on the simplex.
+    """
+    n = len(p)
+    rows = [strict_row_coeffs(p, b, t) for t in range(n)]
+    A_ub = [[-rows[t][i] for t in range(n)]
+            + [sum(b[j] * max(p[i], p[j]) for j in range(n))] for i in range(n)]
+    res = linprog([0.0] * n + [-1.0], A_ub=A_ub, b_ub=[0.0] * n,
+                  A_eq=[[1.0] * n + [0.0]], b_eq=[1.0],
+                  bounds=[(0.0, None)] * n + [(0.0, 1.0)], method="highs")
+    return -float(res.fun)
+
+
 def compositions(total, parts):
     """All nonnegative integer tuples of the given length summing to total."""
     for cuts in itertools.combinations(range(total + parts - 1), parts - 1):

@@ -337,7 +337,7 @@ def _json_seller(v):
     lambda x: Price(x),
     lambda x: Price(1.0, x),
     lambda x: PriceDistribution(atoms=((Price(1.0), x),)),
-    lambda x: _json_seller(str(x)),
+    lambda x: _json_seller(x),     # json.loads("NaN") returns the float
 ], ids=["value", "tie", "mass", "level", "price_tie", "probability", "json"])
 def test_non_finite_input_rejected(build, x):
     with pytest.raises(ValueError):
@@ -507,3 +507,14 @@ def test_json_validation_errors():
                 {"v": 1.0, "p": 1.0, "tie": None}):
         with pytest.raises(ValueError):
             instance_from_json({"seller": [bad], "buyer": buyer})
+
+
+@pytest.mark.parametrize("atom", [{"v": "0.3", "p": 1}, {"v": 0.3, "p": True},
+                                  {"v": 10 ** 400, "p": 1}],
+                         ids=["string", "bool", "int_past_float"])
+def test_json_takes_only_json_numbers(atom):
+    with pytest.raises(ValueError, match="must be"):
+        instance_from_json({"seller": [atom], "buyer": [{"v": 2.0, "p": 1.0}]})
+    # an integer is a JSON number
+    inst = instance_from_json({"seller": [{"v": 0, "p": 1}], "buyer": [{"v": 2, "p": 1}]})
+    assert inst.seller.atoms == ((0.0, 0.5, 1.0),)

@@ -33,7 +33,7 @@ from trademech.factor_revealing import (
     opt_quadratic, upperop_search, upperop_to_instance, verify_certificate,
     welfare_rows,
 )
-from trademech.numkernel.lp import LPSolution
+from trademech.numkernel import LPSolution
 
 
 def dist(*pairs):
@@ -530,6 +530,13 @@ def test_iteration_limited_child_keeps_its_parents_bound(monkeypatch):
         assert verify_certificate(cert).feasible
 
 
+def test_half_step_that_is_not_optimal_raises(monkeypatch):
+    monkeypatch.setattr(fr, "lp_solve",
+                        lambda model, basis=None: LPSolution(status="infeasible"))
+    with pytest.raises(RuntimeError, match="^half step LP came back infeasible$"):
+        lowerop_solve(PriceGrid((0.0, 0.5, 2.0)), "alternating")
+
+
 @pytest.mark.parametrize("solve", [
     lambda: lowerop_solve(PriceGrid((0.0, 0.2, 0.5, 1.5, 4.0))),
     lambda: lowerop_solve(REFERENCE_GRID_16, node_budget=30),
@@ -836,6 +843,27 @@ def test_one_sided_certify_exact_ends():
     assert one_sided_certify(g, "buyer", (1.0, 0.0)) == 1.0
 
 
+def test_one_sided_buyer_ratio_ignores_the_mass_window():
+    """With the buyer pinned the adversary condition is homogeneous in
+    the seller masses and the window holds every unit vector, so neither
+    the window nor its top-mass literal changes the ratio: it is the
+    plain LP of go.one_sided_buyer_ratio. The seller side keeps a constant
+    term, so its window matters, and it is not compared here."""
+    rng = np.random.default_rng(20)
+    grids = ((0.0, 0.5, 2.0), (0.0, 0.3, 1000.0), (0.0, 0.4, 1.0, 1000.0),
+             (0.0, 0.2, 0.5, 1.5, 4.0), REFERENCE_GRID_16.prices)
+    for levels in grids:
+        for _ in range(24):
+            b = rng.dirichlet(np.ones(len(levels))) * rng.uniform(1.0, 1.2)
+            assert one_sided_certify(PriceGrid(levels), "buyer", b) == pytest.approx(
+                go.one_sided_buyer_ratio(levels, b), abs=1e-9)
+    hard = upperop_search(REFERENCE_GRID_16, 64, seed=1)
+    r = one_sided_certify(REFERENCE_GRID_16, "buyer", hard.b)
+    assert r == pytest.approx(go.one_sided_buyer_ratio(REFERENCE_GRID_16.prices, hard.b),
+                              abs=1e-9)
+    assert r == pytest.approx(0.737858, abs=1e-6)
+
+
 def test_one_sided_value_adjacent_mass_collapse():
     """A pinned buyer concentrated at one level is worthless to every
     price lottery when the free seller sits at the level just below it:
@@ -913,6 +941,12 @@ def test_certificate_json_rejects_garbage():
     with pytest.raises(ValueError, match="numbers and lists"):
         certificate_from_json(json.loads(
             '{"role": "upper", "prices": "12", "s": "10", "b": "01", "r": 1}'))
+    # numeric strings and booleans are not JSON numbers; integers are
+    with pytest.raises(ValueError, match="must be numbers"):
+        certificate_from_json(json.loads(
+            '{"role": "lower", "prices": ["0", "1"], "s": ["1", "0"],'
+            ' "b": [0.0, true], "r": "0.5"}'))
+    assert certificate_from_json({**good, "s": [1, 0], "r": 1}).s == (1.0, 0.0)
 
 
 # ------------------------------------ the sixteen-level reference grid

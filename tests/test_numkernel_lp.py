@@ -8,7 +8,7 @@ import pytest
 from scipy.optimize import linprog
 
 import trademech
-from trademech.numkernel import LPModel, lp_problem, lp_solve
+from trademech.numkernel import LPModel, LPSolution, lp_problem, lp_solve
 
 DATA = Path(__file__).parent / "data"
 
@@ -16,6 +16,7 @@ DATA = Path(__file__).parent / "data"
 def test_single_variable_max():
     sol = lp_solve(lp_problem([1.0], [([1.0], "<=", 3.0)], sense="max"))
     assert sol.status == "optimal"
+    assert sol.optimal("max LP") is sol
     assert sol.x[0] == pytest.approx(3.0)
     assert sol.value == pytest.approx(3.0)
 
@@ -34,6 +35,12 @@ def test_infeasible():
 def test_unbounded():
     sol = lp_solve(lp_problem([1.0], [([1.0], ">=", 1.0)], sense="max"))
     assert sol.status == "unbounded"
+
+
+@pytest.mark.parametrize("status", ["infeasible", "unbounded", "iteration_limit"])
+def test_optimal_raises_naming_the_status(status):
+    with pytest.raises(RuntimeError, match=f"^test LP came back {status}$"):
+        LPSolution(status=status).optimal("test LP")
 
 
 def test_equality_and_negative_rhs():
