@@ -6,25 +6,27 @@ A price accepts a seller atom iff (value, tie) <= (level, tie) in
 lexicographic order, and a buyer atom iff >=. A random price rule is a
 finite lottery over such prices.
 
-All welfare here comes from one prefix-sum sweep over the sorted atoms,
-`_gain_sweep`, which the grid programs share: a price accepts a prefix of
-the sellers and a suffix of the buyers, found by binary search. The sweep
-takes mass arrays with leading batch axes, so the lower program's node LP
-gets its pair block from it by sweeping one-hot mass vectors; the
-half-step rows are the same sweep in closed form. Atomless
-prices go through `_cdf_gains`, which needs only the price CDF at each
-atom value and four prefix sums over the sellers below each buyer; the
-mean-keyed lotteries' closed-form CDFs use it. `opt_welfare` takes two
-such sums from the same helper, `_sums_below`.
-
-A distribution builds its value, tie and mass arrays on first use and
-keeps them, read-only, for its lifetime; prices and atoms are searched as
-complex (value, tie) keys, which numpy orders lexicographically.
+All welfare here comes from one set of prefix sums. A distribution
+caches its prefix and suffix sums of mass and mass x value (S0, S1 and
+B0, B1), built by `_prefix_sums` and `_suffix_sums`, and an instance
+caches `below`, the count of sellers strictly below each buyer; every
+cache, like the value, tie, mass and key arrays, is built on first use
+and read-only. A price accepts a prefix of the sellers and a suffix of
+the buyers, found by binary search on complex (value, tie) keys, which
+numpy orders lexicographically, and `_gains` reads its gains off the
+sums: `_cleared` (fixed prices, price lotteries, `best_fixed_price`)
+off the cached ones, `_gain_sweep`, which the grid programs share, off
+sums it builds with the same helpers. The sweep takes mass arrays with
+leading batch axes, so the lower program's node LP gets its pair block
+by sweeping one-hot mass vectors; the half-step rows are the same sweep
+in closed form. `opt_welfare` gathers S0, S1 at `below`; atomless prices
+go through `_cdf_gains`, which adds the two sums weighted by the price
+CDF at each seller; the mean-keyed lotteries' closed-form CDFs use it.
 """
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -34,6 +36,8 @@ _MASS_TOL = 1e-12
 # Prices whose welfare is equal in exact arithmetic can come out of the
 # prefix sums a few ulps apart; best_fixed_price treats them as tied.
 _TIE_RTOL = 1e-12
+# An int past the largest float compares above it exactly: rejected too.
+_FLOAT_MAX = sys.float_info.max
 
 
 def _read_only(arr):
@@ -45,10 +49,10 @@ def _read_only(arr):
 class DiscreteDistribution:
     """Atoms are (value, tie, mass), sorted ascending by (value, tie).
 
-    `values`, `ties`, `masses` and `keys` are numpy arrays built from the
-    atoms on first access and cached on the object; they are read-only,
-    so every caller sees the same arrays. Equality, hashing and repr
-    are those of `atoms` alone.
+    `values`, `ties`, `masses`, `keys`, `prefix_sums` and `suffix_sums`
+    are numpy arrays built from the atoms on first access and cached on
+    the object; they are read-only, so every caller sees the same arrays.
+    Equality, hashing and repr are those of `atoms` alone.
     """
 
     atoms: tuple
@@ -60,11 +64,11 @@ class DiscreteDistribution:
         prev = None
         for v, t, m in self.atoms:
             # chained comparisons fail on NaN, so these also reject it
-            if not 0.0 <= v < math.inf:
+            if not 0.0 <= v <= _FLOAT_MAX:
                 raise ValueError(f"value {v} must be finite and nonnegative")
             if not 0.0 <= t <= 1.0:
                 raise ValueError(f"tie rank {t} outside [0,1]")
-            if not 0.0 < m < math.inf:
+            if not 0.0 < m <= _FLOAT_MAX:
                 raise ValueError(f"atom mass {m} must be finite and positive")
             if prev is not None and (v, t) <= prev:
                 raise ValueError("atoms must be strictly sorted by (value, tie)")
@@ -76,8 +80,11 @@ class DiscreteDistribution:
     @classmethod
     def from_atoms(cls, atoms):
         """atoms: iterable of (value, tie, mass); sorts and merges nothing."""
-        return cls(tuple(sorted((float(v), float(t), float(m))
-                                for v, t, m in atoms)))
+        try:
+            atoms = tuple(sorted((float(v), float(t), float(m)) for v, t, m in atoms))
+        except OverflowError:       # an int too large for a float
+            raise ValueError("atom fields must be finite") from None
+        return cls(atoms)
 
     @classmethod
     def from_pairs(cls, pairs, tie=0.5):
@@ -108,6 +115,16 @@ class DiscreteDistribution:
         return _read_only(_keys(self.values, self.ties))
 
     @cached_property
+    def prefix_sums(self):
+        """S0, S1 over the first k atoms, k = 0..n, as _gain_sweep builds them."""
+        return _read_only(_prefix_sums(self.masses, self.masses * self.values))
+
+    @cached_property
+    def suffix_sums(self):
+        """B0, B1 over the atoms from index j on, as _gain_sweep builds them."""
+        return _read_only(_suffix_sums(self.masses, self.masses * self.values))
+
+    @cached_property
     def _mean(self):
         return float(self.values @ self.masses)
 
@@ -123,20 +140,10 @@ class Price:
     tie: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 <= self.level < math.inf:
+        if not 0.0 <= self.level <= _FLOAT_MAX:
             raise ValueError("price level must be finite and nonnegative")
         if not 0.0 <= self.tie <= 1.0:
             raise ValueError("price tie rank must lie in [0,1]")
-
-
-def just_above(level: float) -> Price:
-    """The price sitting above every atom at `level` but below any larger
-    value; stands in for level + epsilon."""
-    return Price(level, 1.0)
-
-
-def just_below(level: float) -> Price:
-    return Price(level, 0.0)
 
 
 @dataclass(frozen=True)
@@ -149,6 +156,11 @@ class Instance:
         return cls(DiscreteDistribution.from_pairs(seller_pairs),
                    DiscreteDistribution.from_pairs(buyer_pairs))
 
+    @cached_property
+    def below(self):
+        """Per buyer atom, the number of seller values strictly below it."""
+        return _read_only(np.searchsorted(self.seller.values, self.buyer.values))
+
 
 def opt_welfare(inst: Instance) -> float:
     """E[max(S, B)] over the product distribution; ties are irrelevant.
@@ -158,37 +170,42 @@ def opt_welfare(inst: Instance) -> float:
     mass x value sums; a pair with s = b gains nothing.
     """
     s, b = inst.seller, inst.buyer
-    s0, s1 = _sums_below(inst, s.masses, s.masses * s.values)
+    s0, s1 = s.prefix_sums.take(inst.below, axis=1)
     return s.mean() + float(b.masses @ (b.values * s0 - s1))
 
 
-def _sums_below(inst: Instance, *weights):
-    """Per buyer atom, each seller weight array summed over the seller
-    atoms whose value lies strictly below the buyer's."""
-    below = np.searchsorted(inst.seller.values, inst.buyer.values, side="left")
-    return [np.concatenate(([0.0], w.cumsum()))[below] for w in weights]
+def _prefix_sums(*weights):
+    """Each weight array summed over the first k entries of its last axis,
+    k = 0..n, one row per array, by one sequential accumulate per row."""
+    w = np.asarray(weights)
+    s = np.zeros(w.shape[:-1] + (w.shape[-1] + 1,))
+    np.add.accumulate(w, axis=-1, out=s[..., 1:])
+    return s
+
+
+def _suffix_sums(*weights):
+    """The same sums over the entries from index j on, j = 0..n."""
+    w = np.asarray(weights)
+    b = np.zeros(w.shape[:-1] + (w.shape[-1] + 1,))
+    np.add.accumulate(w[..., ::-1], axis=-1, out=b[..., -2::-1])
+    return b
+
+
+def _gains(s, b, k, j):
+    """S0[k] B1[j] - S1[k] B0[j]: the gains of the trades between the first
+    k[i] sellers and the buyers from index j[i] on. Every such pair has
+    buyer value >= seller value, so each term is a true gain."""
+    s, b = s.take(k, axis=-1), b.take(j, axis=-1)
+    return s[0] * b[1] - s[1] * b[0]
 
 
 def _gain_sweep(sv, sm, bv, bm, k, j):
-    """Gains of the trades between the first k[i] seller atoms and the
-    buyer atoms from index j[i] on, one per i.
-
-    sv, sm (bv, bm) are the seller (buyer) values and masses in sweep
-    order. The gains are S0[k] B1[j] - S1[k] B0[j], with S0, S1 the seller
-    prefix sums of mass and mass x value and B0, B1 the buyer suffix sums.
-    Every such pair has buyer value >= seller value, so each term is a
-    true gain. Masses may carry leading batch axes: the sums run along the
-    last axis, the batch axes of the two sides broadcast, and the result
-    has shape batch + k.shape.
+    """_gains over seller (buyer) values sv (bv) and masses sm (bm) in
+    sweep order, summed as the distributions sum theirs. Masses may carry
+    leading batch axes: the sums run along the last axis, the batch axes
+    of the two sides broadcast, and the result has shape batch + k.shape.
     """
-    s = np.zeros((2,) + sm.shape[:-1] + (sm.shape[-1] + 1,))     # S0, S1 from 0
-    np.add.accumulate(sm, axis=-1, out=s[0, ..., 1:])
-    np.add.accumulate(sm * sv, axis=-1, out=s[1, ..., 1:])
-    b = np.zeros((2,) + bm.shape[:-1] + (bm.shape[-1] + 1,))
-    np.add.accumulate(bm[..., ::-1], axis=-1, out=b[0, ..., -2::-1])
-    np.add.accumulate((bm * bv)[..., ::-1], axis=-1, out=b[1, ..., -2::-1])
-    s, b = s[..., k], b[..., j]
-    return s[0] * b[1] - s[1] * b[0]
+    return _gains(_prefix_sums(sm, sm * sv), _suffix_sums(bm, bm * bv), k, j)
 
 
 def _keys(values, ties):
@@ -213,7 +230,7 @@ def _cleared(inst: Instance, prices) -> np.ndarray:
     s, b = inst.seller, inst.buyer
     k = np.searchsorted(s.keys, prices, side="right")
     j = np.searchsorted(b.keys, prices, side="left")
-    return _gain_sweep(s.values, s.masses, b.values, b.masses, k, j)
+    return _gains(s.prefix_sums, b.suffix_sums, k, j)
 
 
 def fixed_price_welfare(inst: Instance, p: Price) -> float:
@@ -227,21 +244,14 @@ def best_fixed_price(inst: Instance):
     Restricting to that candidate set loses nothing: as the price moves
     between consecutive atom coordinates the accepted sets are constant.
     Ties, up to rounding, break toward the smallest (level, tie).
+    A key on both sides is a candidate twice, with one welfare; argmax
+    keeps the first. The stable sort merges the two sorted runs.
     """
     s, b = inst.seller, inst.buyer
-    cand = np.unique(np.concatenate([s.keys, b.keys]))
+    cand = np.sort(np.concatenate((s.keys, b.keys)), kind="stable")
     w = s.mean() + _cleared(inst, cand)
     i = int(np.argmax(w >= w.max() * (1.0 - _TIE_RTOL)))
     return Price(float(cand[i].real), float(cand[i].imag)), float(w[i])
-
-
-def scale_instance(inst: Instance, c: float) -> Instance:
-    # chained comparisons fail on NaN, so this also rejects it
-    if not 0.0 < c < math.inf:
-        raise ValueError("scale factor must be finite and positive")
-    return Instance(
-        DiscreteDistribution(tuple((v * c, t, m) for v, t, m in inst.seller.atoms)),
-        DiscreteDistribution(tuple((v * c, t, m) for v, t, m in inst.buyer.atoms)))
 
 
 # Unused in the package; the benchmark's tracer wraps it under this name.
@@ -282,7 +292,7 @@ class PriceDistribution:
         for p, prob in self.atoms:
             if not isinstance(p, Price):
                 raise ValueError(f"price distribution atom {p!r} is not a Price")
-            if not 0.0 <= prob < math.inf:
+            if not 0.0 <= prob <= _FLOAT_MAX:
                 raise ValueError("atom probability must be finite and nonnegative")
             total += prob
         if abs(total - 1.0) > 1e-10:
@@ -299,13 +309,15 @@ def _cdf_gains(inst: Instance, cdf) -> float:
     cdf maps an array of values to Pr[price <= value]. A pair with seller
     value s below buyer value b trades with probability F(b) - F(s)
     (endpoint ties are measure zero); expanding (b - s)(F(b) - F(s)) sums
-    it per buyer from four prefix sums over the sellers strictly below.
+    it per buyer from S0, S1 and their F(s)-weighted forms over the sellers
+    strictly below. cdf is called once, on both sides' values.
     """
-    sv, sm = inst.seller.values, inst.seller.masses
-    bv, bm = inst.buyer.values, inst.buyer.masses
-    fs, fb = cdf(sv), cdf(bv)
-    c0, cf, c1, c1f = _sums_below(inst, sm, sm * fs, sm * sv, sm * sv * fs)
-    return float(bm @ (bv * fb * c0 - bv * cf - fb * c1 + c1f))
+    s, b, below = inst.seller, inst.buyer, inst.below
+    f = cdf(np.concatenate((s.values, b.values)))
+    fs, fb = f[:len(s.values)], f[len(s.values):]
+    c0, c1 = s.prefix_sums.take(below, axis=1)
+    cf, c1f = _prefix_sums(s.masses * fs, s.masses * s.values * fs).take(below, axis=1)
+    return float(b.masses @ (b.values * fb * c0 - b.values * cf - fb * c1 + c1f))
 
 
 def randomized_welfare(inst: Instance, pd: PriceDistribution) -> float:

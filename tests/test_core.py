@@ -6,12 +6,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from instance_helpers import just_above, just_below, scale_instance
 from trademech.core import (
     _TIE_RTOL, DiscreteDistribution, Instance, Price, PriceDistribution,
-    _gain_sweep, _keys, best_fixed_price, fixed_price_welfare,
-    instance_from_json, instance_to_json, just_above, just_below,
-    opt_welfare, randomized_welfare, scale_instance,
+    _gain_sweep, _gains, _keys, _prefix_sums, _suffix_sums, best_fixed_price,
+    fixed_price_welfare, instance_from_json, instance_to_json,
+    opt_welfare, randomized_welfare,
 )
+from trademech.mean_mech import (BUYER_MEAN, SELLER_MEAN, MeanMechanism,
+                                 _unit_lottery, mean_mech_welfare)
 
 
 # ---------------------------------------------------------------- oracles
@@ -329,16 +332,22 @@ def _json_seller(v):
                                "buyer": [{"v": 2.0, "p": 1.0}]})
 
 
-@pytest.mark.parametrize("x", [float("nan"), float("inf")])
+# 10**400 is an int too large for a float: it compares as itself, and
+# float() on it raises OverflowError
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), 10 ** 400],
+                         ids=["nan", "inf", "int_past_float"])
 @pytest.mark.parametrize("build", [
     lambda x: DiscreteDistribution.from_atoms([(x, 0.5, 1.0)]),
     lambda x: DiscreteDistribution.from_atoms([(1.0, x, 1.0)]),
     lambda x: DiscreteDistribution.from_atoms([(1.0, 0.5, x)]),
+    lambda x: DiscreteDistribution(((x, 0.5, 1.0),)),
+    lambda x: DiscreteDistribution(((1.0, 0.5, x),)),
     lambda x: Price(x),
     lambda x: Price(1.0, x),
     lambda x: PriceDistribution(atoms=((Price(1.0), x),)),
     lambda x: _json_seller(x),     # json.loads("NaN") returns the float
-], ids=["value", "tie", "mass", "level", "price_tie", "probability", "json"])
+], ids=["value", "tie", "mass", "atom_value", "atom_mass", "level", "price_tie",
+        "probability", "json"])
 def test_non_finite_input_rejected(build, x):
     with pytest.raises(ValueError):
         build(x)
@@ -475,6 +484,106 @@ def test_welfare_evaluators_equal_the_record_key_path(inst, pd):
     probs = np.array([prob for _, prob in pd.atoms])
     prices = record_keys([p.level for p, _ in pd.atoms], [p.tie for p, _ in pd.atoms])
     assert randomized_welfare(inst, pd) == es + float(probs @ record_cleared(inst, prices))
+
+
+# ------------------------------------------------------- shared prefix sums
+
+def bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+def fresh(inst):
+    """inst rebuilt from its atoms, with nothing cached."""
+    return Instance(DiscreteDistribution(inst.seller.atoms),
+                    DiscreteDistribution(inst.buyer.atoms))
+
+
+@given(signed_zero_instances)
+@example(SIGNED_ZERO_PAIR)
+@settings(max_examples=60, deadline=None)
+def test_cached_sums_are_read_only_and_equal_the_sweep_sums(inst):
+    inst = fresh(inst)
+    s, b = inst.seller, inst.buyer
+    for d in (s, b):
+        v, m = d.values, d.masses
+        zero = np.zeros(1)
+        cached = {"prefix_sums": (_prefix_sums(m, m * v),
+                                  [np.concatenate((zero, np.cumsum(w))) for w in (m, m * v)]),
+                  "suffix_sums": (_suffix_sums(m, m * v),
+                                  [np.concatenate((np.cumsum(w[::-1])[::-1], zero))
+                                   for w in (m, m * v)])}
+        for name, (swept, plain) in cached.items():
+            arr = getattr(d, name)
+            assert getattr(d, name) is arr
+            assert bits(arr) == bits(swept) == bits(np.stack(plain))
+            with pytest.raises(ValueError):
+                arr[0, 0] = 7.0
+    assert inst.below is inst.below
+    assert bits(inst.below) == bits(np.searchsorted(s.values, b.values, "left"))
+    with pytest.raises(ValueError):
+        inst.below[0] = 7
+    # every (k, j) the sweep can take, from the cached sums and from the sweep
+    k, j = (g.ravel() for g in np.meshgrid(np.arange(len(s.values) + 1),
+                                           np.arange(len(b.values) + 1)))
+    assert bits(_gains(s.prefix_sums, b.suffix_sums, k, j)) == bits(
+        _gain_sweep(s.values, s.masses, b.values, b.masses, k, j))
+
+
+def lotteries(inst):
+    """Both mean-keyed lotteries that inst's means allow (a mean must be
+    positive), as (side, mechanism)."""
+    return [(side, MeanMechanism(side, d.mean()))
+            for side, d in ((SELLER_MEAN, inst.seller), (BUYER_MEAN, inst.buyer))
+            if d.mean() > 0.0]
+
+
+@given(signed_zero_instances)
+@example(SIGNED_ZERO_PAIR)
+@settings(max_examples=60, deadline=None)
+def test_first_and_repeated_calls_agree(inst):
+    """Each evaluator on a fresh instance, once filling the caches and
+    once reading them: the two results are identical."""
+    calls = [opt_welfare, best_fixed_price]
+    calls += [lambda i, p=Price(level, tie): fixed_price_welfare(i, p)
+              for level, tie in zip(*probe_keys(inst))]
+    calls += [lambda i, m=m: mean_mech_welfare(m, i) for _, m in lotteries(inst)]
+    for call in calls:
+        once = fresh(inst)
+        first = call(once)
+        assert repr(call(once)) == repr(first)
+        assert repr(call(fresh(inst))) == repr(first)
+
+
+def sums_below(inst, *weights):
+    """Per buyer atom, each seller weight array summed over the seller
+    atoms strictly below it: the per-call formula the cached sums replace."""
+    below = np.searchsorted(inst.seller.values, inst.buyer.values, side="left")
+    return [np.concatenate(([0.0], w.cumsum()))[below] for w in weights]
+
+
+def sums_below_opt(inst):
+    s, b = inst.seller, inst.buyer
+    s0, s1 = sums_below(inst, s.masses, s.masses * s.values)
+    return s.mean() + float(b.masses @ (b.values * s0 - s1))
+
+
+def sums_below_lottery(inst, side, mean):
+    cdf = _unit_lottery(side)
+    sv, sm = inst.seller.values, inst.seller.masses
+    bv, bm = inst.buyer.values, inst.buyer.masses
+    fs, fb = cdf(sv / mean), cdf(bv / mean)
+    c0, cf, c1, c1f = sums_below(inst, sm, sm * fs, sm * sv, sm * sv * fs)
+    return inst.seller.mean() + float(bm @ (bv * fb * c0 - bv * cf - fb * c1 + c1f))
+
+
+@given(st.one_of(instances, tie_instances, signed_zero_instances))
+@example(SIGNED_ZERO_PAIR)
+@settings(max_examples=120, deadline=None)
+def test_cached_sums_equal_the_per_call_sums(inst):
+    assert opt_welfare(inst) == sums_below_opt(inst)
+    for side, m in lotteries(inst):
+        assert mean_mech_welfare(m, inst) == sums_below_lottery(inst, side, m.mean)
 
 
 # ------------------------------------------------------------------- JSON

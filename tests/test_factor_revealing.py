@@ -18,10 +18,11 @@ from hypothesis import given, settings, strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 import grid_oracles as go
+from instance_helpers import scale_instance
 
 from trademech.core import (
     DiscreteDistribution, Instance, Price, best_fixed_price,
-    fixed_price_welfare, opt_welfare, scale_instance,
+    fixed_price_welfare, opt_welfare,
 )
 import trademech.factor_revealing as fr
 from trademech.factor_revealing import (

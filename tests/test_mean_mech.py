@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 import mean_oracles as mo
+from instance_helpers import scale_instance
 from trademech import mean_mech
-from trademech.core import (DiscreteDistribution, Instance, opt_welfare,
-                            scale_instance)
+from trademech.core import DiscreteDistribution, Instance, opt_welfare
 from trademech.mean_mech import (BUYER_MEAN, SELLER_MEAN, MeanMechanism,
                                  _buyer_unit_cdf, _local_minimum, family_objective,
                                  mean_mech_price_cdf, mean_mech_welfare,
