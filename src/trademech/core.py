@@ -18,10 +18,11 @@ sums: `_cleared` (fixed prices, price lotteries, `best_fixed_price`)
 off the cached ones, `_gain_sweep`, which the grid programs share, off
 sums it builds with the same helpers. The sweep takes mass arrays with
 leading batch axes, so the lower program's node LP gets its pair block
-by sweeping one-hot mass vectors; the half-step rows are the same sweep
-in closed form. `opt_welfare` gathers S0, S1 at `below`; atomless prices
-go through `_cdf_gains`, which adds the two sums weighted by the price
-CDF at each seller; the mean-keyed lotteries' closed-form CDFs use it.
+by sweeping one-hot mass vectors, and the half-step rows by sweeping
+the free side's unit vectors against the pinned side. `opt_welfare`
+gathers S0, S1 at `below`; atomless prices go through `_cdf_gains`,
+which adds the two sums weighted by the price CDF at each seller; the
+mean-keyed lotteries' closed-form CDFs use it.
 """
 
 from __future__ import annotations
@@ -93,7 +94,7 @@ class DiscreteDistribution:
 
     @classmethod
     def point(cls, value, tie=0.5):
-        return cls(((float(value), float(tie), 1.0),))
+        return cls.from_atoms(((value, tie, 1.0),))
 
     # cached_property stores into the instance __dict__, which a frozen
     # dataclass still allows, and leaves the fields untouched.

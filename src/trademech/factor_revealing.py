@@ -33,8 +33,8 @@ class PriceGrid:
     """Strictly increasing nonnegative price levels, at least two of them.
 
     Built on first use, kept read-only: `levels`, the prices;
-    `pair_max`, max(p_i, p_j) at [i, j]; `above`, i > t at [t, i]; `cap`,
-    1 + 1/p_max, the top of the lower program's mass window.
+    `pair_max`, max(p_i, p_j) at [i, j]; `cap`, 1 + 1/p_max, the top of
+    the lower program's mass window.
     """
 
     prices: tuple
@@ -61,10 +61,6 @@ class PriceGrid:
     @cached_property
     def pair_max(self) -> np.ndarray:
         return _read_only(np.maximum.outer(self.levels, self.levels))
-
-    @cached_property
-    def above(self) -> np.ndarray:
-        return _read_only(np.triu(np.ones((self.n, self.n), dtype=bool), 1))
 
     @cached_property
     def cap(self) -> float:
@@ -165,29 +161,15 @@ def _pinned_rows(grid, fixed, free, inclusive):
     With the other side's masses pinned to fixed, welfare row t is
     G[t] @ x + const and the optimum is h @ x in the free side's masses
     x. Returns (G, h, const). G is _row_gains at the free side's unit
-    vectors, in closed form from the fixed side's sums as _gain_sweep
-    takes them (S0, S1 the prefix sums of mass and mass x price, B0, B1
-    the suffix sums), so it equals that sweep bit for bit. With
-    k_t = t + 1 if inclusive, else t:
-    free s: G[t, i] = p_i + [i < k_t] (B1[t + 1] - p_i B0[t + 1]);
-    free b: G[t, j] = [j >= t + 1] (S0[k_t] p_j - S1[k_t]).
+    vectors, plus p for a free seller, whose masses also carry sum_i s_i p_i;
+    for a free buyer that sum is const.
     """
-    p = grid.levels
     fixed = np.asarray(fixed, dtype=float)
-    n = grid.n
+    unit = np.eye(grid.n)
     h = grid.pair_max @ fixed
-    # the mass and mass x price rows, padded with the zero the sums start from
-    x = np.zeros((2, n + 1))
     if free == "s":
-        x[0, :n], x[1, :n] = fixed, fixed * p
-        b = np.add.accumulate(x[:, ::-1], axis=1)[:, -2::-1, None]    # B0, B1
-        # [i < k_t] is not above[t, i] when inclusive, above[i, t] when not
-        gain = b[1] - p * b[0]
-        return p + (np.where(grid.above, 0.0, gain) if inclusive
-                    else np.where(grid.above.T, gain, 0.0)), h, 0.0
-    x[0, 1:], x[1, 1:] = fixed, fixed * p
-    s = np.add.accumulate(x, axis=1)[:, inclusive:n + inclusive, None]  # S0, S1
-    return np.where(grid.above, s[0] * p - s[1], 0.0), h, float(fixed @ p)
+        return grid.levels + _row_gains(grid, unit, fixed, inclusive).T, h, 0.0
+    return _row_gains(grid, fixed, unit, inclusive).T, h, float(fixed @ grid.levels)
 
 
 def opt_quadratic(grid, s, b) -> float:
@@ -247,6 +229,33 @@ def _check_discretization(d, grid, s):
         raise AssertionError("discretization moved the mean")
 
 
+# The one-sided adversary's cap on the top level's mass.
+_ONE_SIDED_TOP_CAP = 10.0
+
+
+def _windows(grid, role):
+    """The rows a role puts on one side's masses x, as (name, levels,
+    relation, rhs) for the row x[levels].sum() relation rhs.
+
+    lower: the window [1, cap]; upper: the simplex, sum = 1; one_sided (the
+    adversary of _one_sided_lp): the sub-top mass at most 1, the total at
+    least 1, the top mass at most _ONE_SIDED_TOP_CAP.
+    """
+    every = slice(0, grid.n)
+    if role == "lower":
+        return (("low", every, ">=", 1.0), ("high", every, "<=", grid.cap))
+    if role == "upper":
+        return (("eq", every, "=", 1.0),)
+    return (("sub_top", slice(0, grid.n - 1), "<=", 1.0), ("total", every, ">=", 1.0),
+            ("top", slice(grid.n - 1, grid.n), "<=", _ONE_SIDED_TOP_CAP))
+
+
+def _window_slack(x, levels, rel, rhs):
+    """A window row's slack, nonnegative when the row holds."""
+    total = float(x[levels].sum())
+    return {">=": total - rhs, "<=": rhs - total, "=": -abs(total - rhs)}[rel]
+
+
 @dataclass(frozen=True)
 class CertificateReport:
     """Feasibility report with one slack per constraint.
@@ -282,19 +291,9 @@ def verify_certificate(c: GridCertificate) -> CertificateReport:
     b = np.asarray(c.b)
     rows = welfare_rows(c.grid, s, b, inclusive=(c.role == "upper"))
     opt = opt_quadratic(c.grid, s, b)
-    if c.role == "lower":
-        win = c.grid.cap
-        mass = {
-            "sum_s_low": float(s.sum() - 1.0),
-            "sum_s_high": float(win - s.sum()),
-            "sum_b_low": float(b.sum() - 1.0),
-            "sum_b_high": float(win - b.sum()),
-        }
-    else:
-        mass = {
-            "sum_s_eq": -abs(float(s.sum()) - 1.0),
-            "sum_b_eq": -abs(float(b.sum()) - 1.0),
-        }
+    mass = {f"sum_{side}_{name}": _window_slack(x, levels, rel, rhs)
+            for side, x in (("s", s), ("b", b))
+            for name, levels, rel, rhs in _windows(c.grid, c.role)}
     mass["nonneg"] = float(min(s.min(), b.min()))
     mass["opt"] = opt - 1.0
     row_slacks = c.r - rows
@@ -317,20 +316,19 @@ def verify_certificate(c: GridCertificate) -> CertificateReport:
 def _half_model(grid, role):
     """The half-step LP over (free side, r), built once per solve.
 
-    Both sides' rows are the mass window (two rows, or one equality), h,
-    then G, and only h, G and G's right-hand sides depend on the fixed
+    Both sides' rows are the role's mass window (_windows), h, then G,
+    and only h, G and G's right-hand sides depend on the fixed
     masses, so one model serves both: it is built with placeholders in h
     and G, whose slots it resolves, and with placeholder right-hand sides.
     Returns the plan (grid, model, slots, h_row, inclusive) for _half_step.
     """
     n = grid.n
-    h_row = 2 if role == "lower" else 1       # after the mass window
-    ones = np.append(np.ones(n), 0.0)
-    cons = ([(ones, ">=", 1.0), (ones, "<=", grid.cap)] if role == "lower"
-            else [(ones, "=", 1.0)])
+    E = np.eye(n + 1)
+    cons = [(E[levels].sum(axis=0), rel, rhs) for _, levels, rel, rhs in _windows(grid, role)]
+    h_row = len(cons)                   # after the mass window
     G_rows = np.append(np.ones((n, n)), -np.ones((n, 1)), axis=1)
-    cons += [(ones, ">=", 1.0), (G_rows, "<=", 0.0)]
-    model = lp_problem(np.append(np.zeros(n), 1.0), cons)
+    cons += [(E[:n].sum(axis=0), ">=", 1.0), (G_rows, "<=", 0.0)]
+    model = lp_problem(E[n], cons)
     row, col = np.divmod(np.arange((n + 1) * n), n)
     return grid, model, model.slots(h_row + row, col), h_row, role == "upper"
 
@@ -461,8 +459,8 @@ def _node_model(grid):
     LPModel, and the plan by which _set_box writes a box into it.
 
     Variables are (s, b, z, r), z_ij standing for s_i b_j at 2n + i*n + j,
-    and the LP minimizes r. Rows: the static ones (mass windows, the
-    optimum on z, one exclusive welfare row per level); four McCormick
+    and the LP minimizes r. Rows: the static ones (the lower role's
+    _windows on s, then on b, the optimum on z, one exclusive welfare row per level); four McCormick
     envelopes through the corners of _CORNERS, n*n rows (row i*n + j) per
     corner, exact for a point interval of b_j; then the aggregates, which
     pin row i of z between s_i times the box-clamped buyer mass window and
@@ -485,10 +483,9 @@ def _node_model(grid):
     S, B, Z, R = E[:n], E[n:2 * n], E[2 * n:-1], E[-1]
     unit = np.eye(n)    # a welfare row's z block: the gain of each unit-mass pair
     pair = _row_gains(grid, unit[:, None], unit[None], False).reshape(n * n, n)
-    s_sum, b_sum = S.sum(axis=0), B.sum(axis=0)
-    cons = [(s_sum, ">=", 1.0), (s_sum, "<=", cap), (b_sum, ">=", 1.0),
-            (b_sum, "<=", cap), (grid.pair_max.ravel() @ Z, ">=", 1.0),
-            (p @ S + pair.T @ Z - R, "<=", 0.0)]
+    cons = [(X[levels].sum(axis=0), rel, rhs) for X in (S, B)
+            for _, levels, rel, rhs in _windows(grid, "lower")]
+    cons += [(grid.pair_max.ravel() @ Z, ">=", 1.0), (p @ S + pair.T @ Z - R, "<=", 0.0)]
     t = np.arange(n)
     pi, pj = divmod(np.arange(n * n), n)
     cons += [(Z - S[pi] - top * cap * B[pj], rel, 0.0) for top, _, rel in _CORNERS]
@@ -671,14 +668,15 @@ def _one_sided_lp(grid, fixed_side, fixed_vector):
     """The one-sided program's LP data over (omega, duals, r).
 
     With, say, the buyer's mass vector pinned, the adversary picks the
-    seller's masses from {x >= 0, sum of all but the last at most 1, total
-    at least 1, last coordinate at most 10} and the mechanism picks a
-    lottery omega over grid prices. The margin at ratio r is
+    seller's masses x >= 0 within the rows of _windows(grid, "one_sided")
+    and the mechanism picks a lottery omega over grid prices. The margin at
+    ratio r is
 
         max over lotteries, min over adversary masses of
         expected welfare row - r * quadratic optimum,
 
-    with the inner minimum replaced by its LP dual in three multipliers.
+    with the inner minimum replaced by its LP dual, one nonnegative
+    multiplier per window row, signed -1 for a <= row and +1 for a >= row.
     r enters only the optimum term, so it is one more column. Returns the
     constraint blocks, the margin's objective row, and const, which the
     margin adds to that row's value.
@@ -692,12 +690,14 @@ def _one_sided_lp(grid, fixed_side, fixed_vector):
     if vec.sum() < 1.0 - 1e-9:
         raise ValueError("fixed vector must carry mass at least 1")
     G, h, const = _pinned_rows(grid, vec, "s" if fixed_side == "buyer" else "b", False)
-    # the top level's row takes the cap multiplier in place of the sub-top window's
-    duals = np.tile([-1.0, 1.0, 0.0], (n, 1))
-    duals[-1] = [0.0, 1.0, -1.0]
+    windows = _windows(grid, "one_sided")
+    duals, sign_rhs = np.zeros((n, len(windows))), np.zeros(len(windows))
+    for k, (_, levels, rel, rhs) in enumerate(windows):
+        sign = {"<=": -1.0, ">=": 1.0}[rel]
+        duals[levels, k], sign_rhs[k] = sign, sign * rhs
     cons = [(np.hstack([-G.T, duals, h[:, None]]), "<=", 0.0),
-            (np.append(np.ones(n), np.zeros(4)), "=", 1.0)]
-    return cons, np.append(np.zeros(n), [-1.0, 1.0, -10.0, 0.0]), const
+            (np.append(np.ones(n), np.zeros(len(windows) + 1)), "=", 1.0)]
+    return cons, np.concatenate([np.zeros(n), sign_rhs, [0.0]]), const
 
 
 def one_sided_value(grid: PriceGrid, fixed_side: str, fixed_vector, r: float):
@@ -708,7 +708,7 @@ def one_sided_value(grid: PriceGrid, fixed_side: str, fixed_vector, r: float):
     if not 0.0 <= r <= 1.0:
         raise ValueError("ratio must lie in [0, 1]")
     cons, margin, const = _one_sided_lp(grid, fixed_side, fixed_vector)
-    bounds = [(0.0, None)] * (grid.n + 3) + [(r, r)]
+    bounds = [(0.0, None)] * (len(margin) - 1) + [(r, r)]
     model = lp_problem(margin, cons, bounds=bounds, sense="max")
     sol = lp_solve(model).optimal("one-sided LP")
     return float(sol.value) + const, sol.x[:grid.n]
@@ -722,45 +722,11 @@ def one_sided_certify(grid: PriceGrid, fixed_side: str, fixed_vector) -> float:
     an exactly checked bound.
     """
     cons, margin, const = _one_sided_lp(grid, fixed_side, fixed_vector)
-    bounds = [(0.0, None)] * (grid.n + 3) + [(0.0, 1.0)]
-    sol = lp_solve(lp_problem(np.eye(grid.n + 4)[-1], cons + [(margin, ">=", -const)],
+    bounds = [(0.0, None)] * (len(margin) - 1) + [(0.0, 1.0)]
+    sol = lp_solve(lp_problem(np.eye(len(margin))[-1], cons + [(margin, ">=", -const)],
                               bounds=bounds, sense="max")).optimal("one-sided LP")
     # a basic r can sit a rounding error outside its bounds
     return float(np.clip(sol.value, 0.0, 1.0))
-
-
-def convergence_bracket(base_grid_step: float, range_cap: float, *,
-                        node_budget: int = 4000, restarts: int = 8,
-                        seed: int = 0):
-    """Bracket the true worst-case ratio with a uniform grid.
-
-    Builds levels 0, step, 2*step, ... up to the cap plus a far anchor at
-    1000. The lower side is the proven branch-and-bound bound, run on an
-    evenly thinned copy of at most 12 levels, which keeps each node's LP
-    small (any grid's guarantee is a valid lower bound for the
-    unrestricted problem). The upper side is the best hardness witness
-    the alternating search finds on the full grid. Both sides bound the
-    same quantity, so lower <= upper always.
-    """
-    if not (np.isfinite(base_grid_step) and np.isfinite(range_cap)):
-        raise ValueError("grid step and range cap must be finite")
-    if base_grid_step <= 0:
-        raise ValueError("grid step must be positive")
-    if range_cap <= base_grid_step:
-        raise ValueError("range cap must exceed the grid step")
-    k = int(np.floor(range_cap / base_grid_step + 1e-9))
-    levels = [i * base_grid_step for i in range(k + 1)]
-    if levels[-1] < 1000.0:
-        levels.append(1000.0)
-    grid = PriceGrid(tuple(levels))
-    if grid.n <= 12:
-        sub = grid
-    else:
-        idx = sorted(set(np.linspace(0, grid.n - 1, 12).round().astype(int)))
-        sub = PriceGrid(tuple(grid.prices[i] for i in idx))
-    lower_cert = lowerop_solve(sub, "branch_and_bound", node_budget=node_budget)
-    upper_cert = upperop_search(grid, restarts, seed=seed)
-    return float(lower_cert.info.lower_bound), float(upper_cert.r)
 
 
 def certificate_to_json(c: GridCertificate) -> dict:

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Instance, Price, _cdf_gains, fixed_price_welfare, opt_welfare
+from .core import (_FLOAT_MAX, Instance, Price, _cdf_gains, fixed_price_welfare,
+                   opt_welfare)
 # Unused here; the benchmark's tracer wraps it under this module's name.
 from .core import randomized_welfare  # noqa: F401
 from .numkernel import lp_problem, lp_solve
@@ -45,7 +46,7 @@ class MeanMechanism:
 
     def __post_init__(self):
         _check_side(self.side)
-        if not 0.0 < self.mean < np.inf:
+        if not 0.0 < self.mean <= _FLOAT_MAX:
             raise ValueError("mean must be finite and positive")
 
 

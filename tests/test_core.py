@@ -342,11 +342,12 @@ def _json_seller(v):
     lambda x: DiscreteDistribution.from_atoms([(1.0, 0.5, x)]),
     lambda x: DiscreteDistribution(((x, 0.5, 1.0),)),
     lambda x: DiscreteDistribution(((1.0, 0.5, x),)),
+    lambda x: DiscreteDistribution.point(x),
     lambda x: Price(x),
     lambda x: Price(1.0, x),
     lambda x: PriceDistribution(atoms=((Price(1.0), x),)),
     lambda x: _json_seller(x),     # json.loads("NaN") returns the float
-], ids=["value", "tie", "mass", "atom_value", "atom_mass", "level", "price_tie",
+], ids=["value", "tie", "mass", "atom_value", "atom_mass", "point", "level", "price_tie",
         "probability", "json"])
 def test_non_finite_input_rejected(build, x):
     with pytest.raises(ValueError):

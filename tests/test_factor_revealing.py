@@ -27,9 +27,9 @@ from trademech.core import (
 import trademech.factor_revealing as fr
 from trademech.factor_revealing import (
     CertificateReport, GridCertificate, PriceGrid, REFERENCE_GRID_16,
-    _best_alternate, _half_model, _half_step, _node_model, _pinned_rows,
-    _set_box, _row_gains,
-    certificate_from_json, certificate_to_json, convergence_bracket,
+    _best_alternate, _half_model, _half_step, _node_model, _one_sided_lp,
+    _pinned_rows, _set_box, _row_gains,
+    certificate_from_json, certificate_to_json,
     discretize_distribution, lowerop_solve, one_sided_certify, one_sided_value,
     opt_quadratic, upperop_search, upperop_to_instance, verify_certificate,
     welfare_rows,
@@ -112,22 +112,6 @@ def test_pinned_rows_reproduce_welfare_rows(grid):
                 G, h, const = _pinned_rows(grid, fixed, free, inclusive)
                 assert G @ x + const == pytest.approx(want, abs=1e-12)
                 assert h @ x == pytest.approx(opt_quadratic(grid, s, b), abs=1e-12)
-
-
-@pytest.mark.parametrize("grid", ROW_GRIDS)
-def test_pinned_rows_equal_the_unit_vector_sweep(grid):
-    """The closed-form rows are the sweep of the free side's unit vectors
-    bit for bit, also where the fixed masses hold zeros."""
-    n = grid.n
-    p = grid.levels
-    rng = np.random.default_rng(12)
-    for _ in range(10):
-        fixed = rng.dirichlet(np.ones(n)) * (rng.random(n) < 0.6)
-        for inclusive in (False, True):
-            G, _, _ = _pinned_rows(grid, fixed, "s", inclusive)
-            assert np.array_equal(G, p + _row_gains(grid, np.eye(n), fixed, inclusive).T)
-            G, _, _ = _pinned_rows(grid, fixed, "b", inclusive)
-            assert np.array_equal(G, _row_gains(grid, fixed, np.eye(n), inclusive).T)
 
 
 @pytest.mark.parametrize("grid", ROW_GRIDS)
@@ -226,6 +210,23 @@ def test_verify_rejects_failed_optimum_constraint():
     rep = verify_certificate(c)
     assert not rep.feasible
     assert rep.mass_slacks["opt"] == pytest.approx(-1.0)
+
+
+@pytest.mark.parametrize("role, keys", [
+    ("lower", ["sum_s_low", "sum_s_high", "sum_b_low", "sum_b_high"]),
+    ("upper", ["sum_s_eq", "sum_b_eq"])])
+def test_mass_slacks_keep_their_keys_in_order(role, keys):
+    c = GridCertificate(PriceGrid((0.0, 0.5, 2.0)), (0.5, 0.5, 0.0), (0.0, 0.5, 0.5),
+                        0.5, role)
+    assert list(verify_certificate(c).mass_slacks) == keys + ["nonneg", "opt"]
+
+
+def test_mass_window_met_exactly_reports_positive_zero():
+    # s sums to exactly cap = 1.5, so the window's top row has zero slack
+    c = GridCertificate(PriceGrid((0.0, 0.5, 2.0)), (0.5, 0.5, 0.5), (0.5, 0.5, 0.5),
+                        0.5, "lower")
+    slack = verify_certificate(c).mass_slacks["sum_s_high"]
+    assert math.copysign(1.0, slack) == 1.0 and slack == 0.0
 
 
 def test_verify_reports_tightness_and_slacks():
@@ -768,6 +769,14 @@ def test_one_sided_value_nonnegative_at_zero_ratio():
     assert v2 >= -1e-12
 
 
+def test_one_sided_multipliers_come_from_the_window_rows():
+    # columns: sub-top mass <= 1, total >= 1, top mass <= 10
+    cons, margin, _ = _one_sided_lp(PriceGrid((0.0, 0.5, 2.0)), "buyer", (0.2, 0.3, 0.5))
+    duals = cons[0][0][:, 3:6]
+    assert duals.tolist() == [[-1.0, 1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, 1.0, -1.0]]
+    assert margin.tolist() == [0.0, 0.0, 0.0, -1.0, 1.0, -10.0, 0.0]
+
+
 # frozen: go.one_sided_saddle_scan((0.0, 1.0), "buyer", (0.0, 1.0), 0.5, 10.0)
 TWO_LEVEL_SCAN = -0.5
 
@@ -879,7 +888,7 @@ def test_one_sided_value_adjacent_mass_collapse():
         assert value == pytest.approx(-0.5 * r, abs=1e-9)
 
 
-# ------------------------------------------------- bracket and JSON
+# ------------------------------------------------- refinement and JSON
 
 def test_refining_grid_never_lowers_optimum():
     # Extra levels add welfare rows, and each added row constrains the
@@ -898,22 +907,6 @@ def test_refining_grid_never_lowers_optimum():
         r_sup = lowerop_solve(PriceGrid(sup_levels), "branch_and_bound",
                               node_budget=30_000).r
         assert r_sup >= r_base - 1e-6
-
-
-def test_bracket_orders_wide_case():
-    lo, hi = convergence_bracket(0.5, 2.0, node_budget=2000, restarts=2)
-    assert lo <= hi + 1e-9
-    assert lo >= 0.0
-
-
-def test_bracket_validates_arguments():
-    with pytest.raises(ValueError):
-        convergence_bracket(0.0, 2.0)
-    with pytest.raises(ValueError):
-        convergence_bracket(0.5, 0.5)
-    for args in ((0.1, math.inf), (math.inf, 2.0), (math.nan, 2.0), (0.1, math.nan)):
-        with pytest.raises(ValueError):
-            convergence_bracket(*args)
 
 
 def test_certificate_json_round_trip():
@@ -966,5 +959,15 @@ def test_reference_grid_bound_after_100_nodes():
     """Buyer-only branching lifts the sixteen-level bound past 0.55 within
     a hundred nodes."""
     cert = lowerop_solve(REFERENCE_GRID_16, "branch_and_bound", node_budget=100)
-    assert cert.info.lower_bound >= 0.55
+    info = cert.info
+    assert info.lower_bound >= 0.55
     assert verify_certificate(cert).feasible
+    # frozen bit for bit, like PINNED_BNB
+    assert (info.lower_bound, info.upper_bound, info.nodes, info.lp_solves,
+            info.lp_iterations) == (0.6134461004355675, 0.7435239586553786, 99, 163, 6446)
+
+
+def test_one_sided_certify_on_the_upper_witness_is_pinned():
+    cert = upperop_search(REFERENCE_GRID_16, 64, seed=1)
+    assert one_sided_certify(cert.grid, "buyer", cert.b) == 0.7378576697411143
+    assert one_sided_certify(cert.grid, "seller", cert.s) == 0.7194924630440118

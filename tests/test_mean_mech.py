@@ -34,7 +34,8 @@ HARDNESS_VALUES = {
 def test_mechanism_validation():
     with pytest.raises(ValueError):
         MeanMechanism("median", 1.0)
-    for mean in (0.0, -1.0, float("nan"), float("inf"), float("-inf")):
+    # 10**400 is an int past the largest float, which would overflow later
+    for mean in (0.0, -1.0, float("nan"), float("inf"), float("-inf"), 10 ** 400):
         with pytest.raises(ValueError):
             MeanMechanism(SELLER_MEAN, mean)
 
