@@ -21,8 +21,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (Instance, DiscreteDistribution, _gain_sweep, _json_number,
-                   _read_only, best_fixed_price, opt_welfare)
+from .core import (Instance, DiscreteDistribution, _gain_sweep, _gains, _json_number,
+                   _prefix_sums, _read_only, _suffix_sums, best_fixed_price, opt_welfare)
 from .numkernel import lp_problem, lp_solve
 # Unused here; the benchmark's tracer wraps it under this module's name.
 from .numkernel import certified_binary_search  # noqa: F401
@@ -33,8 +33,9 @@ class PriceGrid:
     """Strictly increasing nonnegative price levels, at least two of them.
 
     Built on first use, kept read-only: `levels`, the prices;
-    `pair_max`, max(p_i, p_j) at [i, j]; `cap`, 1 + 1/p_max, the top of
-    the lower program's mass window.
+    `pair_max`, max(p_i, p_j) at [i, j]; `unit_sums`, the prefix and
+    suffix sums of the unit mass vectors, as `_gain_sweep` builds them;
+    `cap`, 1 + 1/p_max, the top of the lower program's mass window.
     """
 
     prices: tuple
@@ -61,6 +62,11 @@ class PriceGrid:
     @cached_property
     def pair_max(self) -> np.ndarray:
         return _read_only(np.maximum.outer(self.levels, self.levels))
+
+    @cached_property
+    def unit_sums(self) -> tuple:
+        unit = np.eye(self.n)
+        return tuple(_read_only(f(unit, unit * self.levels)) for f in (_prefix_sums, _suffix_sums))
 
     @cached_property
     def cap(self) -> float:
@@ -144,8 +150,13 @@ def _row_gains(grid, s, b, inclusive) -> np.ndarray:
     broadcast; the last axis of the result runs over the levels.
     """
     p = grid.levels
+    return _gain_sweep(p, s, p, b, *_sweep_ends(grid, inclusive))
+
+
+def _sweep_ends(grid, inclusive):
+    """Each grid price's prefix and suffix ends (k, j) in the sweep."""
     t = np.arange(grid.n + 1)
-    return _gain_sweep(p, s, p, b, t[1:] if inclusive else t[:-1], t[1:])
+    return t[1:] if inclusive else t[:-1], t[1:]
 
 
 def welfare_rows(grid, s, b, *, inclusive) -> np.ndarray:
@@ -161,15 +172,16 @@ def _pinned_rows(grid, fixed, free, inclusive):
     With the other side's masses pinned to fixed, welfare row t is
     G[t] @ x + const and the optimum is h @ x in the free side's masses
     x. Returns (G, h, const). G is _row_gains at the free side's unit
-    vectors, plus p for a free seller, whose masses also carry sum_i s_i p_i;
-    for a free buyer that sum is const.
+    vectors, read off the grid's `unit_sums`, plus p for a free seller,
+    whose masses also carry sum_i s_i p_i; for a free buyer that sum is
+    const.
     """
-    fixed = np.asarray(fixed, dtype=float)
-    unit = np.eye(grid.n)
+    fixed, p = np.asarray(fixed, dtype=float), grid.levels
+    ends, (ahead, behind) = _sweep_ends(grid, inclusive), grid.unit_sums
     h = grid.pair_max @ fixed
     if free == "s":
-        return grid.levels + _row_gains(grid, unit, fixed, inclusive).T, h, 0.0
-    return _row_gains(grid, fixed, unit, inclusive).T, h, float(fixed @ grid.levels)
+        return p + _gains(ahead, _suffix_sums(fixed, fixed * p), *ends).T, h, 0.0
+    return _gains(_prefix_sums(fixed, fixed * p), behind, *ends).T, h, float(fixed @ p)
 
 
 def opt_quadratic(grid, s, b) -> float:

@@ -17,6 +17,7 @@ scanning (x, p, y) boxes covers every instance that matters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby, product
 
 import numpy as np
 
@@ -111,12 +112,14 @@ def mean_mech_welfare(m: MeanMechanism, inst: Instance) -> float:
     return inst.seller.mean() + _cdf_gains(inst, lambda v: cdf(v / m.mean))
 
 
-def family_objective(side, x, p, y):
+def family_objective(side, x, p, y, scratch=None):
     """E[welfare] - (2/3) E[max] on the worst-case family, mean-one units.
 
     Arrays broadcast; every p must lie in [0, 1) so the second point of
     the two-point side exists, and no input may be NaN. The known side
     mixes x against z = (1 - x*p)/(1 - p); the other side sits at y.
+    With `scratch`, two 1-d float64 arrays at least the broadcast size,
+    the result is a view into the first and no full-size array is made.
 
     With q = 1 - p the known side has p*x + q*z = 1, and max(a, y)
     splits into the known value plus the trade gain, so the objective
@@ -140,8 +143,10 @@ def family_objective(side, x, p, y):
     gain = s * cdf(y) - _TARGET
     tx = np.maximum(s * (y - x), 0.0) * (gain - s * cdf(x))
     # q*t(z), with q folded into the gap: q*(y - z) = q*y - (1 - x*p)
-    shape = np.broadcast_shapes(x.shape, p.shape, y.shape)
-    out, term = np.empty(shape), np.empty(shape)
+    full = np.broadcast(x, p, y)
+    if scratch is None:
+        scratch = np.empty(full.size), np.empty(full.size)
+    out, term = (a[:full.size].reshape(full.shape) for a in scratch)
     np.subtract(s * (q * y), s * qz, out=out)
     np.maximum(out, 0.0, out=out)
     np.subtract(gain, s * cdf(qz / q), out=term)
@@ -151,26 +156,46 @@ def family_objective(side, x, p, y):
     return out
 
 
-# Elements per block of the coarse scan; it bounds the float64
-# temporaries (2 MB each) of one `family_objective` call. Smaller blocks
-# made the scan slower. Rescan blocks, whose sizes vary by group, hold
-# half as many: at the full size glibc returned their freed heap to the
-# OS and faulted it back in for nearly every group.
-_BLOCK = 1 << 18
+# Elements per scan block; it sizes the one scratch pair of a
+# `verify_two_thirds` call: 2 x _BLOCK x 8 bytes.
+_BLOCK = 1 << 17
 _OFFSETS = np.linspace(-0.5, 0.5, 21)
 
 
-def _local_minimum(side, pts, step, best, best_arg):
+def _box_minimum(side, boxes, best, best_arg, scratch, flagged=None):
+    """First strict minimum of `family_objective` over boxes (xs, ps, ys),
+    walked in order in blocks of at most _BLOCK elements: runs of equal
+    boxes stacked, a larger one cut along x, and along p if one x row
+    exceeds a block. `flagged` collects the points within 1e-4 of zero.
+    """
+    for (nx, n_p, ny), run in groupby(boxes, lambda box: tuple(map(len, box))):
+        xs, ps, ys = map(np.array, zip(*run))
+        fit = max(1, _BLOCK // (nx * n_p * ny))
+        rows, cols = max(1, _BLOCK // (n_p * ny)), min(n_p, max(1, _BLOCK // ny))
+        for k, lo, c in product(range(0, len(xs), fit), range(0, nx, rows), range(0, n_p, cols)):
+            xb, pb, yb = xs[k:k + fit, lo:lo + rows], ps[k:k + fit, c:c + cols], ys[k:k + fit]
+            obj = family_objective(side, xb[:, :, None, None], pb[:, None, :, None],
+                                   yb[:, None, None, :], scratch=scratch)
+            g, i, j, l = np.unravel_index(int(np.argmin(obj)), obj.shape)
+            if obj[g, i, j, l] < best:
+                best = float(obj[g, i, j, l])
+                best_arg = (float(xb[g, i]), float(pb[g, j]), float(yb[g, l]))
+            if flagged is not None:
+                g, i, j, l = np.nonzero(obj <= 1e-4)
+                flagged.append(np.column_stack([xb[g, i], pb[g, j], yb[g, l]]))
+    return best, best_arg
+
+
+def _local_minimum(side, pts, step, best, best_arg, scratch=None):
     """Rescan a half-step neighborhood of each flagged point at a twenty
     times finer resolution: 21 offsets per axis, clipped to the box.
 
     Points sharing their (x, p) share those two axes, so a group's
-    neighborhoods together are one rectangular product: its clipped x
-    and p offsets times the sorted union of its members' y offsets.
-    Taking each axis's distinct values evaluates every distinct point of
-    the union once, repeated clipped faces and overlapping neighbors
-    included. y runs last and long; blocks split along x and hold at
-    most about _BLOCK / 2 elements.
+    neighborhoods together are one product box: its clipped x and p
+    offsets times the sorted union of its members' y offsets. Taking
+    each axis's distinct values evaluates every distinct point of the
+    union once per group, repeated clipped faces and overlapping
+    neighbors included (adjacent groups share faces).
     """
     offsets = _OFFSETS * step
     # (x, p) as complex keys, x + p*1j: numpy sorts them lexicographically
@@ -178,20 +203,11 @@ def _local_minimum(side, pts, step, best, best_arg):
     keys, group, counts = np.unique(pts[:, 0] + 1j * pts[:, 1],
                                     return_inverse=True, return_counts=True)
     members = np.split(np.argsort(group), np.cumsum(counts)[:-1])
-    for key, rows in zip(keys, members):
-        xs = np.unique(np.clip(key.real + offsets, 0.0, 1.0))
-        ps = np.unique(np.clip(key.imag + offsets, 0.0, 1.0 - 1e-9))
-        ys = np.unique(np.maximum(pts[rows, 2, None] + offsets, 0.0))
-        chunk = max(1, _BLOCK // 2 // (len(ps) * len(ys)))
-        for lo in range(0, len(xs), chunk):
-            xb = xs[lo:lo + chunk]
-            obj = family_objective(side, xb[:, None, None], ps[None, :, None],
-                                   ys[None, None, :])
-            i, j, l = np.unravel_index(int(np.argmin(obj)), obj.shape)
-            if obj[i, j, l] < best:
-                best = float(obj[i, j, l])
-                best_arg = (float(xb[i]), float(ps[j]), float(ys[l]))
-    return best, best_arg
+    boxes = ((np.unique(np.clip(key.real + offsets, 0.0, 1.0)),
+              np.unique(np.clip(key.imag + offsets, 0.0, 1.0 - 1e-9)),
+              np.unique(np.maximum(pts[rows, 2, None] + offsets, 0.0)))
+             for key, rows in zip(keys, members))
+    return _box_minimum(side, boxes, best, best_arg, scratch)
 
 
 def verify_two_thirds(side, *, step=0.005):
@@ -203,10 +219,9 @@ def verify_two_thirds(side, *, step=0.005):
     grid point whose objective is within 1e-4 of zero gets a finer local
     rescan (`_local_minimum`), guarding against minima that fall between
     grid points; the rescan evaluates each distinct point of the union of
-    the flagged points' neighborhoods once. Both passes evaluate
-    `family_objective` in its reduced form, in blocks of at most about
-    _BLOCK elements. A minimum at or above -1e-9 certifies the guarantee
-    on the scanned family.
+    the flagged points' neighborhoods once per (x, p) group. Both passes
+    walk `_box_minimum`'s blocks into one scratch pair. A minimum at or
+    above -1e-9 certifies the guarantee on the scanned family.
     """
     _check_side(side)
     if not 0.0 < step < np.inf:
@@ -215,29 +230,10 @@ def verify_two_thirds(side, *, step=0.005):
     p_grid = np.arange(0.0, 1.0, step)
     cap = 3.0 if side == SELLER_MEAN else 2.0
     y_grid = np.append(np.arange(0.0, cap + 0.5 * step, step), cap + 1.0)
-
-    best = np.inf
-    best_arg = None
-    flagged = []
-    # blocks of whole y columns, split along x (and p, for long x slices)
-    pairs = max(1, _BLOCK // len(y_grid))
-    x_chunk, p_chunk = max(1, pairs // len(p_grid)), min(len(p_grid), pairs)
-    for x_lo in range(0, len(x_grid), x_chunk):
-        xs = x_grid[x_lo:x_lo + x_chunk]
-        for p_lo in range(0, len(p_grid), p_chunk):
-            ps = p_grid[p_lo:p_lo + p_chunk]
-            obj = family_objective(side, xs[:, None, None], ps[None, :, None],
-                                   y_grid[None, None, :])
-            i, j, l = np.unravel_index(int(np.argmin(obj)), obj.shape)
-            if obj[i, j, l] < best:
-                best = float(obj[i, j, l])
-                best_arg = (float(xs[i]), float(ps[j]), float(y_grid[l]))
-            i, j, l = np.nonzero(obj <= 1e-4)
-            flagged.append(np.column_stack([xs[i], ps[j], y_grid[l]]))
-    pts = np.concatenate(flagged)
-    if len(pts):
-        best, best_arg = _local_minimum(side, pts, step, best, best_arg)
-    return best, best_arg
+    scratch, flagged = np.empty((2, _BLOCK)), []
+    best, best_arg = _box_minimum(side, [(x_grid, p_grid, y_grid)], np.inf,
+                                  None, scratch, flagged)
+    return _local_minimum(side, np.concatenate(flagged), step, best, best_arg, scratch)
 
 
 def two_thirds_hardness(side, eps):

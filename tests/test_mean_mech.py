@@ -1,5 +1,6 @@
 """Tests for the mean-keyed price lotteries."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -318,11 +319,37 @@ def test_objective_matches_quadrature():
                 mo.objective_quad(side, x, p, y), abs=1e-9)
 
 
-# frozen minima of the scan at step 0.02; how the rescan groups its points
-# sets only the order they are evaluated in, so these hold to the bit
+def test_objective_into_scratch_matches_allocating_call():
+    """Written into a scratch pair, the objective is the allocating
+    call's to the bit, on 3-d boxes and on boxes stacked on a leading
+    axis, with the clipped faces x = 0 and 1, p = 0 and 1 - 1e-9 and
+    y = 0 among the points; the result is a view into the first array."""
+    rng = np.random.default_rng(31)
+    scratch = np.full((2, 4000), np.nan)
+    for side in SIDES:
+        cap = 3.0 if side == SELLER_MEAN else 2.0
+        xs = np.sort(np.append(rng.uniform(0, 1, (3, 4)), [[0.0, 1.0]] * 3, axis=1))
+        ps = np.sort(np.append(rng.uniform(0, 1, (3, 3)), [[0.0, 1 - 1e-9]] * 3, axis=1))
+        ys = np.sort(np.append(rng.uniform(0, cap + 1, (3, 9)), [[0.0]] * 3, axis=1))
+        for box in ((xs[0, :, None, None], ps[0, None, :, None], ys[0, None, None, :]),
+                    (xs[:, :, None, None], ps[:, None, :, None], ys[:, None, None, :])):
+            want = family_objective(side, *box)
+            got = family_objective(side, *box, scratch=scratch)
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+            assert np.shares_memory(got, scratch[0])
+
+
+# frozen minima of the scan at step 0.02 and the points attaining them;
+# how the scan blocks and groups its points sets only the order they are
+# evaluated in, so these hold to the bit
 SCAN_MINIMA_002 = {
     BUYER_MEAN: -8.326672684688674e-17,
     SELLER_MEAN: -5.551115123125783e-17,
+}
+SCAN_WITNESSES_002 = {
+    BUYER_MEAN: (1.0, 0.08, 0.44),
+    SELLER_MEAN: (1.0, 0.22, 2.0),
 }
 
 
@@ -330,6 +357,7 @@ def test_verify_certifies_guarantee_on_coarse_grid():
     for side in SIDES:
         mn, arg = verify_two_thirds(side, step=0.02)
         assert mn == SCAN_MINIMA_002[side]
+        assert arg == SCAN_WITNESSES_002[side]
         assert mn >= -1e-9
         assert abs(mn) <= 1e-9
         x, p, y = arg
@@ -403,8 +431,8 @@ def test_union_rescan_evaluates_each_distinct_point_once(side, seed, monkeypatch
     evaluated = []
     objective = family_objective
 
-    def counted(*args):
-        out = objective(*args)
+    def counted(*args, **kwargs):
+        out = objective(*args, **kwargs)
         evaluated.append(out.size)
         return out
 
@@ -418,12 +446,12 @@ def test_union_rescan_evaluates_each_distinct_point_once(side, seed, monkeypatch
 
 def test_coarse_blocks_stay_within_the_block_size(monkeypatch):
     """At step 0.002 one x of the seller's scan spans 500 p's times 1502
-    y's, about three blocks, so the coarse pass splits along p too: no
+    y's, about six blocks, so the coarse pass splits along p too: no
     block exceeds _BLOCK elements and together they cover every grid
     point once. The patched objective is flat, so nothing is rescanned."""
     sizes = []
 
-    def flat(side, x, p, y):
+    def flat(side, x, p, y, scratch=None):
         shape = np.broadcast(x, p, y).shape
         sizes.append(np.prod(shape))
         return np.broadcast_to(1.0, shape)
@@ -433,6 +461,20 @@ def test_coarse_blocks_stay_within_the_block_size(monkeypatch):
     assert mn == 1.0
     assert max(sizes) <= mean_mech._BLOCK
     assert sum(sizes) == 501 * 500 * 1502
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_scan_peak_memory_is_the_scratch_pair(side):
+    """The scan writes every block into one scratch pair of _BLOCK
+    elements, so its traced peak stays within that pair plus 1 MiB."""
+    verify_two_thirds(side, step=0.02)
+    tracemalloc.start()
+    try:
+        verify_two_thirds(side, step=0.02)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * mean_mech._BLOCK * 8 + 2 ** 20, peak
 
 
 def test_verify_min_nonincreasing_under_refinement():
