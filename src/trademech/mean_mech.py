@@ -156,24 +156,26 @@ def family_objective(side, x, p, y, scratch=None):
     return out
 
 
-# Elements per scan block; it sizes the one scratch pair of a
-# `verify_two_thirds` call: 2 x _BLOCK x 8 bytes.
+# Elements per scan block; each `_box_minimum` call allocates one
+# scratch pair of 2 x _BLOCK x 8 bytes.
 _BLOCK = 1 << 17
 _OFFSETS = np.linspace(-0.5, 0.5, 21)
 
 
-def _box_minimum(side, boxes, best, best_arg, scratch, flagged=None):
+def _box_minimum(side, boxes, best, best_arg, flagged=None):
     """First strict minimum of `family_objective` over boxes (xs, ps, ys),
     walked in order in blocks of at most _BLOCK elements: runs of equal
-    boxes stacked, a larger one cut along x, and along p if one x row
-    exceeds a block. `flagged` collects the points within 1e-4 of zero.
+    boxes stacked, a larger box cut along x, then p, then y. `flagged`
+    collects the points within 1e-4 of zero.
     """
+    scratch = np.empty((2, _BLOCK))
     for (nx, n_p, ny), run in groupby(boxes, lambda box: tuple(map(len, box))):
         xs, ps, ys = map(np.array, zip(*run))
-        fit = max(1, _BLOCK // (nx * n_p * ny))
-        rows, cols = max(1, _BLOCK // (n_p * ny)), min(n_p, max(1, _BLOCK // ny))
-        for k, lo, c in product(range(0, len(xs), fit), range(0, nx, rows), range(0, n_p, cols)):
-            xb, pb, yb = xs[k:k + fit, lo:lo + rows], ps[k:k + fit, c:c + cols], ys[k:k + fit]
+        fit, rows, cols = [max(1, _BLOCK // n) for n in (nx * n_p * ny, n_p * ny, ny)]
+        for k, a, b, c in product(range(0, len(xs), fit), range(0, nx, rows),
+                                  range(0, n_p, cols), range(0, ny, _BLOCK)):
+            g = slice(k, k + fit)
+            xb, pb, yb = xs[g, a:a + rows], ps[g, b:b + cols], ys[g, c:c + _BLOCK]
             obj = family_objective(side, xb[:, :, None, None], pb[:, None, :, None],
                                    yb[:, None, None, :], scratch=scratch)
             g, i, j, l = np.unravel_index(int(np.argmin(obj)), obj.shape)
@@ -186,16 +188,14 @@ def _box_minimum(side, boxes, best, best_arg, scratch, flagged=None):
     return best, best_arg
 
 
-def _local_minimum(side, pts, step, best, best_arg, scratch=None):
+def _local_minimum(side, pts, step, best, best_arg):
     """Rescan a half-step neighborhood of each flagged point at a twenty
     times finer resolution: 21 offsets per axis, clipped to the box.
 
-    Points sharing their (x, p) share those two axes, so a group's
-    neighborhoods together are one product box: its clipped x and p
-    offsets times the sorted union of its members' y offsets. Taking
-    each axis's distinct values evaluates every distinct point of the
-    union once per group, repeated clipped faces and overlapping
-    neighbors included (adjacent groups share faces).
+    Points sharing their (x, p) make one product box: its clipped x and
+    p offsets times the sorted union of its members' y offsets. Distinct
+    axis values evaluate each distinct point once per group, clipped
+    faces included; adjacent groups still share faces.
     """
     offsets = _OFFSETS * step
     # (x, p) as complex keys, x + p*1j: numpy sorts them lexicographically
@@ -207,7 +207,7 @@ def _local_minimum(side, pts, step, best, best_arg, scratch=None):
               np.unique(np.clip(key.imag + offsets, 0.0, 1.0 - 1e-9)),
               np.unique(np.maximum(pts[rows, 2, None] + offsets, 0.0)))
              for key, rows in zip(keys, members))
-    return _box_minimum(side, boxes, best, best_arg, scratch)
+    return _box_minimum(side, boxes, best, best_arg)
 
 
 def verify_two_thirds(side, *, step=0.005):
@@ -219,9 +219,8 @@ def verify_two_thirds(side, *, step=0.005):
     grid point whose objective is within 1e-4 of zero gets a finer local
     rescan (`_local_minimum`), guarding against minima that fall between
     grid points; the rescan evaluates each distinct point of the union of
-    the flagged points' neighborhoods once per (x, p) group. Both passes
-    walk `_box_minimum`'s blocks into one scratch pair. A minimum at or
-    above -1e-9 certifies the guarantee on the scanned family.
+    the flagged points' neighborhoods once per (x, p) group. A minimum at
+    or above -1e-9 certifies the guarantee on the scanned family.
     """
     _check_side(side)
     if not 0.0 < step < np.inf:
@@ -230,10 +229,9 @@ def verify_two_thirds(side, *, step=0.005):
     p_grid = np.arange(0.0, 1.0, step)
     cap = 3.0 if side == SELLER_MEAN else 2.0
     y_grid = np.append(np.arange(0.0, cap + 0.5 * step, step), cap + 1.0)
-    scratch, flagged = np.empty((2, _BLOCK)), []
-    best, best_arg = _box_minimum(side, [(x_grid, p_grid, y_grid)], np.inf,
-                                  None, scratch, flagged)
-    return _local_minimum(side, np.concatenate(flagged), step, best, best_arg, scratch)
+    flagged = []
+    best, best_arg = _box_minimum(side, [(x_grid, p_grid, y_grid)], np.inf, None, flagged)
+    return _local_minimum(side, np.concatenate(flagged), step, best, best_arg)
 
 
 def two_thirds_hardness(side, eps):

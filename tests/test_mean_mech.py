@@ -463,6 +463,28 @@ def test_coarse_blocks_stay_within_the_block_size(monkeypatch):
     assert sum(sizes) == 501 * 500 * 1502
 
 
+def test_blocks_split_along_y_when_one_row_exceeds_a_block(monkeypatch):
+    """With _BLOCK at 16, below the 32 y's of the seller's step-0.1 grid
+    and the up to 21 of its rescan groups, the coarse rows and the wider
+    groups are cut along y. No block exceeds _BLOCK, and the scan returns
+    the same minimum and witness from the same number of points."""
+    sizes = []
+    objective = family_objective
+
+    def counted(*args, **kwargs):
+        out = objective(*args, **kwargs)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(mean_mech, "family_objective", counted)
+    want = verify_two_thirds(SELLER_MEAN, step=0.1)
+    points, sizes[:] = sum(sizes), []
+    monkeypatch.setattr(mean_mech, "_BLOCK", 16)
+    assert verify_two_thirds(SELLER_MEAN, step=0.1) == want
+    assert max(sizes) <= 16
+    assert sum(sizes) == points
+
+
 @pytest.mark.parametrize("side", SIDES)
 def test_scan_peak_memory_is_the_scratch_pair(side):
     """The scan writes every block into one scratch pair of _BLOCK
