@@ -465,8 +465,8 @@ def test_coarse_blocks_stay_within_the_block_size(monkeypatch):
 
 def test_blocks_split_along_y_when_one_row_exceeds_a_block(monkeypatch):
     """With _BLOCK at 16, below the 32 y's of the seller's step-0.1 grid
-    and the up to 21 of its rescan groups, the coarse rows and the wider
-    groups are cut along y. No block exceeds _BLOCK, and the scan returns
+    and the 21 of each of its rescan groups, every coarse row and every
+    group is cut along y. No block exceeds _BLOCK, and the scan returns
     the same minimum and witness from the same number of points."""
     sizes = []
     objective = family_objective
@@ -487,8 +487,9 @@ def test_blocks_split_along_y_when_one_row_exceeds_a_block(monkeypatch):
 
 @pytest.mark.parametrize("side", SIDES)
 def test_scan_peak_memory_is_the_scratch_pair(side):
-    """The scan writes every block into one scratch pair of _BLOCK
-    elements, so its traced peak stays within that pair plus 1 MiB."""
+    """Each pass of the scan writes every block into one scratch pair of
+    _BLOCK elements, freed before the next pass allocates its own, so the
+    traced peak stays within one pair plus 1 MiB."""
     verify_two_thirds(side, step=0.02)
     tracemalloc.start()
     try:
