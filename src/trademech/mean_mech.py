@@ -11,13 +11,12 @@ Verification of the guarantee runs over the reduced worst-case family:
 a two-point distribution on the known side against a single point on
 the other, with the known side scaled to mean one. The two-point side
 places x with probability p and (1 - x*p)/(1 - p) with the rest, so
-scanning (x, p, y) boxes covers every instance that matters.
+scanning an (x, p) grid, exact in y, covers every instance that matters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby, product
 
 import numpy as np
 
@@ -112,14 +111,12 @@ def mean_mech_welfare(m: MeanMechanism, inst: Instance) -> float:
     return inst.seller.mean() + _cdf_gains(inst, lambda v: cdf(v / m.mean))
 
 
-def family_objective(side, x, p, y, scratch=None):
+def family_objective(side, x, p, y):
     """E[welfare] - (2/3) E[max] on the worst-case family, mean-one units.
 
     Arrays broadcast; every p must lie in [0, 1) so the second point of
     the two-point side exists, and no input may be NaN. The known side
     mixes x against z = (1 - x*p)/(1 - p); the other side sits at y.
-    With `scratch`, two 1-d float64 arrays at least the broadcast size,
-    the result is a view into the first and no full-size array is made.
 
     With q = 1 - p the known side has p*x + q*z = 1, and max(a, y)
     splits into the known value plus the trade gain, so the objective
@@ -143,95 +140,101 @@ def family_objective(side, x, p, y, scratch=None):
     gain = s * cdf(y) - _TARGET
     tx = np.maximum(s * (y - x), 0.0) * (gain - s * cdf(x))
     # q*t(z), with q folded into the gap: q*(y - z) = q*y - (1 - x*p)
-    full = np.broadcast(x, p, y)
-    if scratch is None:
-        scratch = np.empty(full.size), np.empty(full.size)
-    out, term = (a[:full.size].reshape(full.shape) for a in scratch)
-    np.subtract(s * (q * y), s * qz, out=out)
-    np.maximum(out, 0.0, out=out)
-    np.subtract(gain, s * cdf(qz / q), out=term)
-    out *= term
-    out += np.multiply(p, tx, out=term)
-    out += c / 3.0
-    return out
+    return (np.maximum(s * (q * y - qz), 0.0) * (gain - s * cdf(qz / q))
+            + p * tx + c / 3.0)
 
 
-# Elements per scan block; each `_box_minimum` call allocates one
-# scratch pair of 2 x _BLOCK x 8 bytes.
-_BLOCK = 1 << 17
+# Per side: the unit CDF's kinks, the last its cap, and its linear
+# pieces alpha*y + beta that are not constant
+_CDF_SHAPE = {
+    SELLER_MEAN: ((3.0,), ((1.0 / 3.0, 0.0),)),
+    BUYER_MEAN: ((0.5, 2.0 / 3.0, 2.0), ((4.0 / 3.0, -1.0 / 3.0), (1.0 / 3.0, 1.0 / 3.0))),
+}
+
+
+def _y_candidates(side, x, p):
+    """Every y in [0, cap + 1] where the minimum over y of
+    `family_objective` can sit, on a trailing axis of broadcast (x, p).
+
+    Between the breakpoints 0, x, z, the CDF's kinks and cap + 1, the
+    atoms trading with y (seller {x} or {x, z}; buyer {x, z} or {z}) are
+    fixed, with W, A, K the sums of w, w*a and w*F(a) over them, and the
+    objective is c/3 + sum w*s*(y - a)*(s*(F(y) - F(a)) - 2/3). Where
+    F = alpha*y + beta that is a convex quadratic in y with vertex
+    (K + alpha*A - W*(beta - 2s/3) - (1 - s)/6) / (2*alpha*W). Where F is
+    constant it is linear. On the buyer's [0, 1/2], F = y/(3 - 3y), its
+    second derivative -2(A - W)/(3(1 - y)^3) is at most 0, as A - W is
+    0 or p*(1 - x): concave, so minimal at an end. A vertex off its own
+    piece is still a valid y; an undefined one (W = 0) becomes 0.
+    """
+    kinks, pieces = _CDF_SHAPE[side]
+    s = 1.0 if side == SELLER_MEAN else -1.0
+    cdf = _unit_lottery(side)
+    x, p = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(p, dtype=float))
+    q = 1.0 - p
+    z = (1.0 - x * p) / q
+    # (W, A, K) of each atom, then of each trading set
+    at_x = np.stack([p, p * x, p * cdf(x)])
+    at_z = np.stack([q, q * z, q * cdf(z)])
+    trading = (at_x, at_x + at_z) if s > 0 else (at_x + at_z, at_z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertices = [(k + alpha * a - w * (beta - 2.0 * s / 3.0) - (1.0 - s) / 6.0)
+                    / (2.0 * alpha * w) for w, a, k in trading for alpha, beta in pieces]
+    cands = np.stack(np.broadcast_arrays(0.0, x, z, *kinks, kinks[-1] + 1.0, *vertices),
+                     axis=-1)
+    # fmax sends NaN to 0, fmin +inf to cap + 1
+    return np.fmin(np.fmax(cands, 0.0, out=cands), kinks[-1] + 1.0, out=cands)
+
+
+# (x, p) pairs per scan block, or one leading row if more; at 11 y
+# candidates a pair, one block's array is 176 KiB
+_BLOCK = 1 << 11
 _OFFSETS = np.linspace(-0.5, 0.5, 21)
 
 
-def _box_minimum(side, boxes, best, best_arg, flagged=None):
-    """First strict minimum of `family_objective` over boxes (xs, ps, ys),
-    walked in order in blocks of at most _BLOCK elements: runs of equal
-    boxes stacked, a larger box cut along x, then p, then y. `flagged`
-    collects the points within 1e-4 of zero.
-    """
-    scratch = np.empty((2, _BLOCK))
-    for (nx, n_p, ny), run in groupby(boxes, lambda box: tuple(map(len, box))):
-        xs, ps, ys = map(np.array, zip(*run))
-        fit, rows, cols = [max(1, _BLOCK // n) for n in (nx * n_p * ny, n_p * ny, ny)]
-        for k, a, b, c in product(range(0, len(xs), fit), range(0, nx, rows),
-                                  range(0, n_p, cols), range(0, ny, _BLOCK)):
-            g = slice(k, k + fit)
-            xb, pb, yb = xs[g, a:a + rows], ps[g, b:b + cols], ys[g, c:c + _BLOCK]
-            obj = family_objective(side, xb[:, :, None, None], pb[:, None, :, None],
-                                   yb[:, None, None, :], scratch=scratch)
-            g, i, j, l = np.unravel_index(int(np.argmin(obj)), obj.shape)
-            if obj[g, i, j, l] < best:
-                best = float(obj[g, i, j, l])
-                best_arg = (float(xb[g, i]), float(pb[g, j]), float(yb[g, l]))
-            if flagged is not None:
-                g, i, j, l = np.nonzero(obj <= 1e-4)
-                flagged.append(np.column_stack([xb[g, i], pb[g, j], yb[g, l]]))
-    return best, best_arg
-
-
-def _local_minimum(side, pts, step, best, best_arg):
-    """Rescan a half-step neighborhood of each flagged point at a twenty
-    times finer resolution: 21 offsets per axis, clipped to the box.
-
-    Points sharing their (x, p) make one product box: its clipped x and
-    p offsets times the sorted union of its members' y offsets. Distinct
-    axis values evaluate each distinct point once per group, clipped
-    faces included; adjacent groups still share faces.
-    """
-    offsets = _OFFSETS * step
-    # (x, p) as complex keys, x + p*1j: numpy sorts them lexicographically
-    # and far faster than rows of a two-column array
-    keys, group, counts = np.unique(pts[:, 0] + 1j * pts[:, 1],
-                                    return_inverse=True, return_counts=True)
-    members = np.split(np.argsort(group), np.cumsum(counts)[:-1])
-    boxes = ((np.unique(np.clip(key.real + offsets, 0.0, 1.0)),
-              np.unique(np.clip(key.imag + offsets, 0.0, 1.0 - 1e-9)),
-              np.unique(np.maximum(pts[rows, 2, None] + offsets, 0.0)))
-             for key, rows in zip(keys, members))
-    return _box_minimum(side, boxes, best, best_arg)
+def _scan(side, xs, ps, best=np.inf, best_arg=None):
+    """Minimum over y of `family_objective` at each broadcast (xs, ps),
+    from its `_y_candidates`, in blocks of leading rows. Returns the
+    minima and (best, best_arg) updated to the first strict minimum met
+    and its (x, p, y)."""
+    xs, ps = np.broadcast_arrays(xs, ps)
+    minima = np.empty(xs.shape)
+    rows = max(1, _BLOCK // int(np.prod(xs.shape[1:])))
+    for k in range(0, len(xs), rows):
+        xb, pb = xs[k:k + rows], ps[k:k + rows]
+        yb = _y_candidates(side, xb, pb)
+        obj = family_objective(side, xb[..., None], pb[..., None], yb)
+        at = np.unravel_index(int(np.argmin(obj)), obj.shape)
+        if obj[at] < best:
+            best = float(obj[at])
+            best_arg = (float(xb[at[:-1]]), float(pb[at[:-1]]), float(yb[at]))
+        np.min(obj, axis=-1, out=minima[k:k + rows])
+    return minima, best, best_arg
 
 
 def verify_two_thirds(side, *, step=0.005):
     """Scan the worst-case family for the two-thirds guarantee.
 
-    Returns (minimum objective, (x, p, y) attaining it). The grids use
-    the given step, with p stopping short of 1 and y running one unit
-    past the lottery's support so the linear tail is represented. Any
-    grid point whose objective is within 1e-4 of zero gets a finer local
-    rescan (`_local_minimum`), guarding against minima that fall between
-    grid points; the rescan evaluates each distinct point of the union of
-    the flagged points' neighborhoods once per (x, p) group. A minimum at
-    or above -1e-9 certifies the guarantee on the scanned family.
+    Returns (minimum objective, (x, p, y) attaining it). x and p run
+    over grids of the given step, p stopping short of 1; y is exact over
+    [0, cap + 1], one unit past the lottery's support. Each grid (x, p)
+    whose minimum is within 1e-4 of zero gets its half-step (x, p)
+    neighborhood rescanned, 21 points per axis clipped to the box, for
+    minima between grid points. A minimum at or above -1e-9 certifies
+    the guarantee on the scanned family.
     """
     _check_side(side)
     if not 0.0 < step < np.inf:
         raise ValueError("step must be finite and positive")
     x_grid = np.clip(np.arange(0.0, 1.0 + 0.5 * step, step), 0.0, 1.0)
     p_grid = np.arange(0.0, 1.0, step)
-    cap = 3.0 if side == SELLER_MEAN else 2.0
-    y_grid = np.append(np.arange(0.0, cap + 0.5 * step, step), cap + 1.0)
-    flagged = []
-    best, best_arg = _box_minimum(side, [(x_grid, p_grid, y_grid)], np.inf, None, flagged)
-    return _local_minimum(side, np.concatenate(flagged), step, best, best_arg)
+    minima, best, best_arg = _scan(side, x_grid[:, None], p_grid)
+    i, j = np.nonzero(minima <= 1e-4)
+    offsets = _OFFSETS * step
+    xs = np.clip(x_grid[i, None, None] + offsets[:, None], 0.0, 1.0)
+    ps = np.clip(p_grid[j, None, None] + offsets, 0.0, 1.0 - 1e-9)
+    _, best, best_arg = _scan(side, xs, ps, best, best_arg)
+    return best, best_arg
 
 
 def two_thirds_hardness(side, eps):

@@ -217,12 +217,14 @@ def objective_direct(side, x, p, y):
 
 
 def brute_force_scan_minimum(side, step):
-    """Minimum of the two-thirds scan, evaluated the long way.
+    """Minimum of the two-thirds scan over a y grid, evaluated the long
+    way: the reference the library's scan, exact in y, must not exceed.
 
-    The same grid, 1e-4 flag threshold and 21-point half-step rescan as
-    the library's scan, but every flagged point rescans its full clipped
-    21^3 neighborhood, repeated face points included, through
-    `objective_direct`.
+    The same (x, p) grid, 1e-4 flag threshold and 21-point half-step
+    rescan as the library's scan, but y runs over a grid of the same
+    step up to cap, plus cap + 1, and every flagged (x, p, y) rescans
+    its full clipped 21^3 neighborhood, repeated face points included,
+    through `objective_direct`.
     """
     x_grid = np.clip(np.arange(0.0, 1.0 + 0.5 * step, step), 0.0, 1.0)
     p_grid = np.arange(0.0, 1.0, step)

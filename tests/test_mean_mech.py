@@ -14,7 +14,7 @@ from instance_helpers import scale_instance
 from trademech import mean_mech
 from trademech.core import DiscreteDistribution, Instance, opt_welfare
 from trademech.mean_mech import (BUYER_MEAN, SELLER_MEAN, MeanMechanism,
-                                 _buyer_unit_cdf, _local_minimum, family_objective,
+                                 _buyer_unit_cdf, family_objective,
                                  mean_mech_price_cdf, mean_mech_welfare,
                                  two_thirds_hardness, verify_two_thirds)
 
@@ -319,36 +319,34 @@ def test_objective_matches_quadrature():
                 mo.objective_quad(side, x, p, y), abs=1e-9)
 
 
-def test_objective_into_scratch_matches_allocating_call():
-    """Written into a scratch pair, the objective is the allocating
-    call's to the bit, on 3-d boxes and on boxes stacked on a leading
-    axis, with the clipped faces x = 0 and 1, p = 0 and 1 - 1e-9 and
-    y = 0 among the points; the result is a view into the first array."""
-    rng = np.random.default_rng(31)
-    scratch = np.full((2, 4000), np.nan)
-    for side in SIDES:
-        cap = 3.0 if side == SELLER_MEAN else 2.0
-        xs = np.sort(np.append(rng.uniform(0, 1, (3, 4)), [[0.0, 1.0]] * 3, axis=1))
-        ps = np.sort(np.append(rng.uniform(0, 1, (3, 3)), [[0.0, 1 - 1e-9]] * 3, axis=1))
-        ys = np.sort(np.append(rng.uniform(0, cap + 1, (3, 9)), [[0.0]] * 3, axis=1))
-        for box in ((xs[0, :, None, None], ps[0, None, :, None], ys[0, None, None, :]),
-                    (xs[:, :, None, None], ps[:, None, :, None], ys[:, None, None, :])):
-            want = family_objective(side, *box)
-            got = family_objective(side, *box, scratch=scratch)
-            assert got.shape == want.shape
-            assert np.array_equal(got, want)
-            assert np.shares_memory(got, scratch[0])
+@pytest.mark.parametrize("side", SIDES)
+def test_y_candidates_reach_the_dense_grid_minimum(side):
+    """At each (x, p) the objective's minimum over the y candidates is
+    at most its minimum over a dense y grid on [0, cap + 1], on random
+    points, on the faces x = 0 and 1, p = 0 and 1 - 1e-9, and at x = 1,
+    p = 0.5, where z = x."""
+    rng = np.random.default_rng(41)
+    cap = 3.0 if side == SELLER_MEAN else 2.0
+    xs = np.append(rng.uniform(0, 1, 400), [0.0, 0.0, 1.0, 1.0, 1.0])
+    ps = np.append(rng.uniform(0, 1, 400), [0.0, 1 - 1e-9, 0.0, 1 - 1e-9, 0.5])
+    ys = mean_mech._y_candidates(side, xs, ps)
+    assert ys.min() >= 0.0 and ys.max() <= cap + 1.0
+    exact = family_objective(side, xs[:, None], ps[:, None], ys).min(axis=1)
+    dense = np.min([family_objective(side, xs[:, None], ps[:, None], chunk).min(axis=1)
+                    for chunk in np.array_split(np.linspace(0.0, cap + 1.0, 8001), 8)],
+                   axis=0)
+    assert np.all(exact <= dense + 1e-15), np.max(exact - dense)
 
 
 # frozen minima of the scan at step 0.02 and the points attaining them;
-# how the scan blocks and groups its points sets only the order they are
-# evaluated in, so these hold to the bit
+# how the scan blocks its points sets only the order they are evaluated
+# in, so these hold to the bit
 SCAN_MINIMA_002 = {
     BUYER_MEAN: -8.326672684688674e-17,
     SELLER_MEAN: -5.551115123125783e-17,
 }
 SCAN_WITNESSES_002 = {
-    BUYER_MEAN: (1.0, 0.08, 0.44),
+    BUYER_MEAN: (0.0, 0.20900000000000002, 0.6321112515802783),
     SELLER_MEAN: (1.0, 0.22, 2.0),
 }
 
@@ -368,128 +366,49 @@ def test_verify_certifies_guarantee_on_coarse_grid():
 @pytest.mark.parametrize("side", SIDES)
 @pytest.mark.parametrize("step", (0.1, 0.05, 0.03))
 def test_verify_matches_brute_force_rescan(side, step):
-    """Removing repeated clipped points and reducing the objective
-    leaves the scan's minimum where the full-neighborhood rescan puts
-    it; step 0.03 does not divide 1, so its clipping is partial."""
+    """The scan reaches at least as low as the y-grid scan with its full
+    21^3 rescans of flagged points: it checks every (x, p) that scan
+    does, with y exact. Step 0.03 does not divide 1, so its clipping is
+    partial."""
     mn, (x, p, y) = verify_two_thirds(side, step=step)
-    assert mn == pytest.approx(mo.brute_force_scan_minimum(side, step),
-                               abs=1e-12)
+    assert mn <= mo.brute_force_scan_minimum(side, step) + 1e-15
     assert mo.case_objective(side, x, p, y) == pytest.approx(mn, abs=1e-12)
 
 
-@pytest.mark.parametrize("side", SIDES)
-def test_rescan_matches_full_neighborhoods_on_faces(side):
-    """Point by point, the rescan of distinct clipped coordinates finds
-    the minimum of the full clipped neighborhood. The points sit on the
-    clipped faces (x = 0 or 1, p = 0 or within a half step of 1, y = 0)
-    and off them, and their neighborhood minima are mostly unique, so a
-    face coordinate dropped or repeated by mistake shows."""
-    rng = np.random.default_rng(23)
-    step = 0.03
-    cap = 3.0 if side == SELLER_MEAN else 2.0
-    pts = np.column_stack([
-        rng.choice([0.0, 1.0, 0.01, 0.5, 0.99], 60),
-        rng.choice([0.0, 0.005, 0.4, 0.99, 1.0 - 1e-9], 60),
-        rng.choice([0.0, 0.004, 0.3, 1.1, cap, cap + 1.0], 60)])
-    ref = mo.neighborhood_minima(side, pts, step)
-    for pt, want in zip(pts, ref):
-        got, (x, p, y) = _local_minimum(side, pt[None], step, np.inf, None)
-        assert got == pytest.approx(want, abs=1e-12), pt
-        assert float(mo.objective_direct(side, x, p, y)) == \
-            pytest.approx(got, abs=1e-12), pt
+def test_seller_scan_finds_the_minimum_between_y_grid_values():
+    """At step 0.03 the seller's minimum, 0 at y = 2, lies between the
+    values of a y grid, which reported 8.3e-8 there."""
+    assert verify_two_thirds(SELLER_MEAN, step=0.03)[0] <= 1e-15
 
 
 @pytest.mark.parametrize("side", SIDES)
-@pytest.mark.parametrize("seed", (3, 4))
-def test_union_rescan_evaluates_each_distinct_point_once(side, seed, monkeypatch):
-    """Grouped by (x, p), the rescan finds the minimum of the members'
-    full neighborhoods and evaluates every distinct point of their union
-    exactly once. Members share an (x, p) along adjacent y's and across
-    gaps in y, and sit on the x = 0, x = 1, p = 0 and y = 0 faces, within
-    a half step of p = 1, and off every face."""
-    rng = np.random.default_rng(seed)
-    step = 0.03
-    cap = 3.0 if side == SELLER_MEAN else 2.0
-    rows = []
-    for x in (0.0, 1.0, step * rng.integers(1, 33)):
-        for p in (0.0, 1.0 - 0.3 * step, step * rng.integers(1, 33)):
-            k = rng.integers(0, 4) if rows else 0
-            rows += [(x, p, (k + i) * step) for i in (0, 1, 2, 5, 8, 9)]
-    rows += list(zip(rng.uniform(0, 1, 8), rng.uniform(0, 1 - 1e-9, 8),
-                     rng.uniform(0, cap + 1.0, 8)))
-    pts = np.array(rows)[rng.permutation(len(rows))]
-
-    offsets = np.linspace(-0.5, 0.5, 21) * step
-    near = np.broadcast_arrays(
-        np.clip(pts[:, 0, None, None, None] + offsets[:, None, None], 0.0, 1.0),
-        np.clip(pts[:, 1, None, None, None] + offsets[:, None], 0.0, 1.0 - 1e-9),
-        np.maximum(pts[:, 2, None, None, None] + offsets, 0.0))
-    rows = np.column_stack([a.ravel() for a in near])
-    rows = rows[np.lexsort(rows.T)]
-    distinct = 1 + np.count_nonzero(np.any(rows[1:] != rows[:-1], axis=1))
-
-    evaluated = []
-    objective = family_objective
-
-    def counted(*args, **kwargs):
-        out = objective(*args, **kwargs)
-        evaluated.append(out.size)
-        return out
-
-    monkeypatch.setattr(mean_mech, "family_objective", counted)
-    got, (x, p, y) = _local_minimum(side, pts, step, np.inf, None)
-    assert sum(evaluated) == distinct
-    assert got == pytest.approx(mo.neighborhood_minima(side, pts, step).min(),
-                                abs=1e-12)
-    assert float(mo.objective_direct(side, x, p, y)) == pytest.approx(got, abs=1e-12)
-
-
-def test_coarse_blocks_stay_within_the_block_size(monkeypatch):
-    """At step 0.002 one x of the seller's scan spans 500 p's times 1502
-    y's, about six blocks, so the coarse pass splits along p too: no
-    block exceeds _BLOCK elements and together they cover every grid
-    point once. The patched objective is flat, so nothing is rescanned."""
-    sizes = []
-
-    def flat(side, x, p, y, scratch=None):
-        shape = np.broadcast(x, p, y).shape
-        sizes.append(np.prod(shape))
-        return np.broadcast_to(1.0, shape)
-
-    monkeypatch.setattr(mean_mech, "family_objective", flat)
-    mn, _ = verify_two_thirds(SELLER_MEAN, step=0.002)
-    assert mn == 1.0
-    assert max(sizes) <= mean_mech._BLOCK
-    assert sum(sizes) == 501 * 500 * 1502
-
-
-def test_blocks_split_along_y_when_one_row_exceeds_a_block(monkeypatch):
-    """With _BLOCK at 16, below the 32 y's of the seller's step-0.1 grid
-    and the 21 of each of its rescan groups, every coarse row and every
-    group is cut along y. No block exceeds _BLOCK, and the scan returns
-    the same minimum and witness from the same number of points."""
+def test_small_blocks_leave_the_scan_unchanged(side, monkeypatch):
+    """With _BLOCK at 64 pairs, each block of either pass holds one row,
+    and the scan evaluates the same points in more blocks and returns
+    the same minimum and witness."""
     sizes = []
     objective = family_objective
 
-    def counted(*args, **kwargs):
-        out = objective(*args, **kwargs)
+    def counted(*args):
+        out = objective(*args)
         sizes.append(out.size)
         return out
 
     monkeypatch.setattr(mean_mech, "family_objective", counted)
-    want = verify_two_thirds(SELLER_MEAN, step=0.1)
-    points, sizes[:] = sum(sizes), []
-    monkeypatch.setattr(mean_mech, "_BLOCK", 16)
-    assert verify_two_thirds(SELLER_MEAN, step=0.1) == want
-    assert max(sizes) <= 16
+    assert verify_two_thirds(side, step=0.02) == (SCAN_MINIMA_002[side],
+                                                  SCAN_WITNESSES_002[side])
+    points, blocks, sizes[:] = sum(sizes), len(sizes), []
+    monkeypatch.setattr(mean_mech, "_BLOCK", 64)
+    assert verify_two_thirds(side, step=0.02) == (SCAN_MINIMA_002[side],
+                                                  SCAN_WITNESSES_002[side])
     assert sum(sizes) == points
+    assert len(sizes) > blocks
 
 
 @pytest.mark.parametrize("side", SIDES)
 def test_scan_peak_memory_is_the_scratch_pair(side):
-    """Each pass of the scan writes every block into one scratch pair of
-    _BLOCK elements, freed before the next pass allocates its own, so the
-    traced peak stays within one pair plus 1 MiB."""
+    """The scan holds one block's arrays at a time, so its traced peak
+    stays within 3 MiB: two arrays of 2^17 float64s plus 1 MiB."""
     verify_two_thirds(side, step=0.02)
     tracemalloc.start()
     try:
@@ -497,7 +416,7 @@ def test_scan_peak_memory_is_the_scratch_pair(side):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * mean_mech._BLOCK * 8 + 2 ** 20, peak
+    assert peak < 2 * 2 ** 17 * 8 + 2 ** 20, peak
 
 
 def test_verify_min_nonincreasing_under_refinement():
