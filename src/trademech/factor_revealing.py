@@ -7,9 +7,8 @@ feasible point of the upper program converts into a concrete instance on
 which no fixed price beats its objective value. A pair of min-max LPs
 covers the setting where only one side's distribution is known.
 
-Mass vectors s and b here are near-probability vectors produced by
-discretize_distribution: they can sum to slightly more than one because
-the tail above the top price collapses to (tail mean)/p_max.
+Mass vectors s and b come from discretize_distribution and can sum to
+more than one; lowerop_solve derives their window.
 """
 
 from __future__ import annotations
@@ -193,32 +192,25 @@ def opt_quadratic(grid, s, b) -> float:
 def discretize_distribution(d: DiscreteDistribution, grid: PriceGrid) -> np.ndarray:
     """Round a distribution onto the grid, preserving its mean exactly.
 
-    Each cell [p_i, p_{i+1}) holding mass q with partial mean E is split
-    across its two ends: left + right = q and left*p_i + right*p_{i+1} = E.
-    Everything from p_max up collapses to mass (tail mean)/p_max at p_max.
-    The output sums to between 1 and 1 + mean/p_max, its prefix sums
-    dominate the distribution's CDF at every level, and its inner product
-    with the grid reproduces the mean.
+    Each cell [p_i, p_{i+1}) holding mass q and mass x value E splits
+    across its ends: left + right = q, left*p_i + right*p_{i+1} = E, with
+    right clipped into [0, q] against rounding. The atoms from p_max up
+    collapse to mass E/p_max at p_max. q and E are differences of the
+    cached `d.prefix_sums`, S0 and S1, at k, the count of atoms below
+    each level. The output sums to between 1 and 1 + mean/p_max, and its
+    prefix sums dominate the distribution's CDF at every level.
     """
     p = grid.levels
-    v, m = d.values, d.masses
-    if np.any(v < p[0]):
+    if d.values[0] < p[0]:
         raise ValueError("distribution has mass below the bottom price level")
-    n = grid.n
-    s = np.zeros(n)
-    cell = np.searchsorted(p, v, side="right") - 1
-    for i in range(n - 1):
-        sel = cell == i
-        q = float(m[sel].sum())
-        if q == 0.0:
-            continue
-        e = float((m[sel] * v[sel]).sum())
-        right = (e - q * p[i]) / (p[i + 1] - p[i])
-        s[i] += q - right
-        s[i + 1] += right
-    tail = cell == n - 1
-    s[n - 1] += float((m[tail] * v[tail]).sum()) / p[n - 1]
-    s = np.maximum(s, 0.0)
+    s0, s1 = d.prefix_sums
+    k = np.searchsorted(d.values, p)
+    q, e = np.diff(s0[k]), np.diff(s1[k])
+    right = np.clip((e - q * p[:-1]) / np.diff(p), 0.0, q)
+    s = np.zeros(grid.n)
+    s[:-1] = q - right
+    s[1:] += right
+    s[-1] += (s1[-1] - s1[k[-1]]) / p[-1]
     _check_discretization(d, grid, s)
     return s
 
@@ -233,9 +225,8 @@ def _check_discretization(d, grid, s):
         raise AssertionError("discretized mass left its envelope")
     if float(s[:-1].sum()) > 1.0 + 1e-12:
         raise AssertionError("mass below the top level exceeds one")
-    prefix = np.cumsum(s)
-    below = np.array([float(d.masses[d.values < level].sum()) for level in p])
-    if np.any(prefix < below - 1e-12):
+    below = d.prefix_sums[0][np.searchsorted(d.values, p)]
+    if np.any(np.cumsum(s) < below - 1e-12):
         raise AssertionError("prefix sums fail to dominate the CDF")
     if abs(float(s @ p) - mean) > tol:
         raise AssertionError("discretization moved the mean")
@@ -419,9 +410,12 @@ def lowerop_solve(grid: PriceGrid, mode: str = "branch_and_bound", *,
                   gap_tol: float = 1e-4) -> GridCertificate:
     """Minimize the worst welfare row subject to the guarantee constraints.
 
-    The program: mass windows sum(s), sum(b) in [1, 1 + 1/p_max], the
-    quadratic optimum at least 1, and every exclusive welfare row at most
-    r. Its global minimum is a certified ratio guarantee for the mechanism
+    The program: mass windows sum(s), sum(b) in [1, cap], the quadratic
+    optimum at least 1, and every exclusive welfare row at most r. The
+    window is discretize_distribution's contract at OPT = 1: a side's
+    total lies in [1, 1 + mean/p_max], and each mean is at most
+    E[max(S, B)] = OPT = 1, so the total is at most cap = 1 + 1/p_max.
+    Its global minimum is a certified ratio guarantee for the mechanism
     that picks the best grid price times the observed optimum.
 
     alternating mode fixes one side and solves the LP in the other,

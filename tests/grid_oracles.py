@@ -156,3 +156,32 @@ def one_sided_saddle_scan(p, fixed_side, vec, r, cap, step=0.01):
         if best is None or v > best:
             best = v
     return best
+
+
+def loop_discretize(d, grid):
+    """discretize_distribution cell by cell, summing each cell's atoms
+    through boolean masks, without the library's check.
+
+    Cell i is [p_i, p_{i+1}); its mass q and mass x value E split across
+    the two ends as (q - right, right) with right = (E - q p_i) / (p_{i+1} - p_i).
+    The atoms from p_max up put mass (their mass x value)/p_max at p_max.
+    """
+    p = np.asarray(grid.prices, dtype=float)
+    v, m = np.asarray(d.values), np.asarray(d.masses)
+    if np.any(v < p[0]):
+        raise ValueError("distribution has mass below the bottom price level")
+    n = len(p)
+    s = np.zeros(n)
+    cell = np.searchsorted(p, v, side="right") - 1
+    for i in range(n - 1):
+        sel = cell == i
+        q = float(m[sel].sum())
+        if q == 0.0:
+            continue
+        e = float((m[sel] * v[sel]).sum())
+        right = (e - q * p[i]) / (p[i + 1] - p[i])
+        s[i] += q - right
+        s[i + 1] += right
+    tail = cell == n - 1
+    s[n - 1] += float((m[tail] * v[tail]).sum()) / p[n - 1]
+    return np.maximum(s, 0.0)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 import grid_oracles as go
@@ -200,6 +200,75 @@ def test_discretize_properties(dg):
     for t, level in enumerate(p):
         below = float(d.masses[d.values < level].sum())
         assert prefix[t] >= below - 1e-9
+
+
+@st.composite
+def atoms_on_levels(draw):
+    """distribution_and_grid with some atoms moved onto grid levels; tie
+    ranks j/4 keep atoms that share a level distinct."""
+    d, grid = draw(distribution_and_grid())
+    atoms = [(draw(st.sampled_from(grid.prices)) if draw(st.booleans()) else v, j / 4, m)
+             for j, (v, _, m) in enumerate(d.atoms)]
+    return DiscreteDistribution.from_atoms(atoms), grid
+
+
+@st.composite
+def narrow_cells(draw):
+    """distribution_and_grid with a cell 1e-9 to 1e-3 wide opened above
+    some levels, and some atoms moved into those cells or onto their ends."""
+    d, grid = draw(distribution_and_grid())
+    p = list(grid.prices)
+    cells = []
+    for i, level in enumerate(p):
+        w = draw(st.floats(1e-9, 1e-3))
+        if draw(st.booleans()) and (i + 1 == len(p) or level + w < p[i + 1]):
+            cells.append((level, level + w))
+    if not cells:
+        cells.append((p[-1], p[-1] + 1e-9))
+    atoms = []
+    for j, (v, _, m) in enumerate(d.atoms):
+        if draw(st.booleans()):
+            lo, hi = draw(st.sampled_from(cells))
+            v = draw(st.sampled_from((lo, hi, lo + draw(st.floats(0.0, 1.0)) * (hi - lo))))
+        atoms.append((v, j / 4, m))
+    levels = sorted(set(p).union(hi for _, hi in cells))
+    return DiscreteDistribution.from_atoms(atoms), PriceGrid(tuple(levels))
+
+
+@given(st.one_of(distribution_and_grid(), atoms_on_levels()))
+@settings(max_examples=300, deadline=None)
+def test_discretize_matches_the_cell_loop(dg):
+    d, grid = dg
+    assume(np.diff(grid.levels).min() >= 1e-3)
+    gap = discretize_distribution(d, grid) - go.loop_discretize(d, grid)
+    assert np.max(np.abs(gap)) <= 1e-12
+
+
+@given(narrow_cells())
+@settings(max_examples=300, deadline=None)
+def test_discretize_narrow_cells_pass_the_check(dg):
+    d, grid = dg
+    fr._check_discretization(d, grid, discretize_distribution(d, grid))
+    # The loop fails where a narrow cell holds two atoms (next test).
+    cell = np.searchsorted(grid.levels, d.values, side="right") - 1
+    crowded = (np.bincount(cell, minlength=grid.n)[:-1] > 1) & (np.diff(grid.levels) < 1e-3)
+    if not crowded.any():
+        fr._check_discretization(d, grid, go.loop_discretize(d, grid))
+
+
+def test_discretize_clips_the_split_of_a_narrow_cell():
+    # Atoms on a 1e-9 cell's low end put no mass on its high end, but q*p_i
+    # and E round an ulp apart, which the width blows up to a split of
+    # -6e-8 (prefix sums, one atom at 0.828) or -4.4e-7 (the loop, two
+    # atoms at 5.0); unclipped, the sub-top mass tops one.
+    d = dist((0.7477810477265509, 0.5), (0.8282578782902978, 0.5))
+    grid = PriceGrid((0.0, 0.5, 0.8282578782902978, 0.8282578792902978))
+    assert np.allclose(discretize_distribution(d, grid), go.loop_discretize(d, grid), atol=1e-12)
+    d = DiscreteDistribution.from_atoms(((3.0, 0.5, 0.4), (5.0, 0.0, 0.4), (5.0, 0.25, 0.2)))
+    grid = PriceGrid((0.0, 1.0, 5.0, 5.000000001))
+    assert np.allclose(discretize_distribution(d, grid), [0.0, 0.2, 0.8, 0.0], atol=1e-12)
+    with pytest.raises(AssertionError, match="mass below the top level exceeds one"):
+        fr._check_discretization(d, grid, go.loop_discretize(d, grid))
 
 
 # --------------------------------------------------------- verification
