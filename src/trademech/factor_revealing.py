@@ -418,13 +418,20 @@ def lowerop_solve(grid: PriceGrid, mode: str = "branch_and_bound", *,
     Its global minimum is a certified ratio guarantee for the mechanism
     that picks the best grid price times the observed optimum.
 
+    The same step bounds each mass: discretization keeps the mean, so
+    b_j p_j <= sum_k b_k p_k = mean <= 1, and b_j <= min(cap, 1/p_j)
+    (cap alone at p_j = 0). Every discretized buyer lies in this box,
+    _root_box, so the program with b restricted to it has a global
+    minimum no lower and certifies the same guarantee.
+
     alternating mode fixes one side and solves the LP in the other,
     back and forth to a stationary point; its r only upper-bounds the
     global minimum, so info.lower_bound stays None. branch_and_bound mode
     relaxes the bilinear products with envelope inequalities over a box of
-    buyer masses, splits only the buyer side, takes each incumbent from the
-    seller half-step at a node's buyer vector, and reports a proven bound
-    pair even when the node budget runs out.
+    buyer masses, starting from _root_box, splits only the buyer side,
+    takes each incumbent from the seller half-step at a node's buyer
+    vector, and reports a proven bound pair even when the node budget runs
+    out: its lower_bound holds for the program over the root box.
     """
     if grid.prices[0] != 0.0:
         raise ValueError("the lower program needs a grid starting at 0")
@@ -480,7 +487,10 @@ def _node_model(grid):
     window ends, whose negatives are the coefficients on s at slots, then
     the b and z columns' lower and upper bounds; the cap corners' rows
     take -cap times the ends at at. Returns the plan (model, cap, slots,
-    take, at, those rows, the b and z columns).
+    take, at, those rows, the b and z columns, z_block, z_rows): z_block
+    is z's coefficients in the optimum row and the n welfare rows,
+    pair_max beside the welfare rows' pair block, one row per product,
+    and z_rows those rows' positions, the order of their duals.
     """
     p = grid.levels
     n = grid.n
@@ -503,6 +513,7 @@ def _node_model(grid):
     bounds = np.column_stack([np.zeros_like(col_hi), col_hi])
     model = lp_problem(R, cons, bounds=bounds)
     first = n + 5                       # the static rows come first
+    z_block = np.column_stack([grid.pair_max.ravel(), pair])
     slots = model.slots(first + np.arange(4 * n * n + 2 * n),
                         np.concatenate([pi, pi, pi, pi, t, t]))
     take = np.concatenate([pj + (n if upper else 0) for _, upper, _ in _CORNERS]
@@ -510,7 +521,8 @@ def _node_model(grid):
                              np.repeat(2 * n + 2, n * n), n + t, 2 * n + 3 + pj])
     at = slice(n * n, 3 * n * n)        # _CORNERS[1:3], the cap corners
     return (model, cap, slots, take, at,
-            slice(first + n * n, first + 3 * n * n), slice(n, 2 * n + n * n))
+            slice(first + n * n, first + 3 * n * n), slice(n, 2 * n + n * n),
+            z_block, slice(4, first))
 
 
 def _set_box(plan, lo, hi):
@@ -521,7 +533,7 @@ def _set_box(plan, lo, hi):
     the bounds on b and z, so no record of the last box is kept. The
     aggregates take the buyer mass window [1, cap] clamped to the box's sums.
     """
-    model, cap, slots, take, at, rows, cols = plan
+    model, cap, slots, take, at, rows, cols, *_ = plan
     window = [min(cap, float(hi.sum())), max(1.0, float(lo.sum()))]
     box = np.concatenate([lo, hi, window, [0.0], cap * hi])[take]
     ends = box[:len(slots)]
@@ -530,18 +542,35 @@ def _set_box(plan, lo, hi):
     model.set_bounds(cols, *box[len(ends):].reshape(2, -1))
 
 
+def _root_box(grid):
+    """The buyer box the tree starts from, as (lo, hi): b_j in
+    [0, min(cap, 1/p_j)], and [0, cap] where p_j = 0 (lowerop_solve
+    derives it)."""
+    p = grid.levels
+    hi = np.full(grid.n, grid.cap)
+    hi[p > 0] = np.minimum(grid.cap, 1.0 / p[p > 0])
+    return np.zeros(grid.n), hi
+
+
 def _branch_and_bound(grid, starts, node_budget, gap_tol):
     """Best-first branch-and-bound on the McCormick relaxation over boxes
-    of buyer masses. Each popped node that survives pruning offers one
-    incumbent, the seller half-step at its b, and then splits b_j for the
-    worst weighted product violation (i, j); the leaves tile the b box.
+    of buyer masses, from _root_box. Each popped node that survives
+    pruning offers one incumbent, the seller half-step at its b, and then
+    splits b_j for the product (i, j) of largest violation
+    |z_ij - s_i b_j| weighted by the node LP's duals:
+    |y_opt| pair_max[i, j] + sum_t |y_t| pair[ij, t], over the optimum
+    row and the n welfare rows, the weight the LP puts on z_ij (BARON's
+    violation transfer, Tawarmalani and Sahinidis, Math. Prog. 99, 2004);
+    where that weight is zero on every violated product, by violation
+    alone. The leaves tile the root box.
 
     One LPModel holds the tree's node LP; the root and then each child
     write their box there (_set_box), and a child solves from its parent's
-    basis, carried by the heap. A child whose LP hits the iteration limit
-    is set aside with its parent's bound. Incumbent half-steps edit the
-    opening descent's half-step model; the tree's LP counts are the two
-    models' counters.
+    basis, carried by the heap with its duals on the z rows. A child whose warm solve
+    hits the iteration limit is solved once more, cold; if that also hits
+    it, the child is set aside with its parent's bound. Incumbent
+    half-steps edit the opening descent's half-step model; the tree's LP
+    counts are the two models' counters.
     """
     n = grid.n
 
@@ -551,21 +580,23 @@ def _branch_and_bound(grid, starts, node_budget, gap_tol):
     half = _half_model(grid, "lower")
     inc_r, inc_s, inc_b, _, _ = _best_alternate(half, starts, 40)
 
-    weight = grid.pair_max.ravel() + 1.0
-    box0 = (np.zeros(n), np.full(n, grid.cap))
+    box0 = _root_box(grid)
     plan = _node_model(grid)
-    model = plan[0]
+    model, *_, z_block, z_rows = plan
     _set_box(plan, *box0)
     sol0 = lp_solve(model).optimal("root relaxation")
     nodes = 1
-    # nodes rises with every child solve, so it orders entries of equal bound
-    heap = [(float(sol0.value), nodes, box0, sol0.x, sol0.basis)]
+    # nodes rises with every child solve, so it orders entries of equal
+    # bound; the last item, |duals| of the rows that hold z, is a copy, so
+    # the heap keeps no full dual vector
+    heap = [(float(sol0.value), nodes, box0, sol0.x, sol0.basis,
+             np.abs(sol0.dual[z_rows]))]
     # Bounds of regions set aside without being fully resolved; they keep
     # the final lower bound honest even when exploration stops early.
     stalled = []
     fix = None                      # the last half-step warms the next
     while heap and nodes + 2 <= node_budget:
-        bound, _, (lo, hi), x, basis = heapq.heappop(heap)
+        bound, _, (lo, hi), x, basis, y = heapq.heappop(heap)
         if bound >= inc_r - 1e-12:
             continue
         s_val, b_val = x[:n], x[n:2 * n]
@@ -580,8 +611,11 @@ def _branch_and_bound(grid, starts, node_budget, gap_tol):
             # gap too, so this is convergence, not abandonment.
             stalled.append(bound)
             break
-        viol = np.abs(x[2 * n:-1] - (s_val[:, None] * b_val).ravel()) * weight
-        worst = int(viol.argmax())
+        viol = np.abs(x[2 * n:-1] - (s_val[:, None] * b_val).ravel())
+        score = viol * (z_block @ y)
+        # duals that weigh no violated product (an optimum row with slack,
+        # the welfare rows' products exact) leave the pick to the violation
+        worst = int(score.argmax() if score.max() > 1e-9 else viol.argmax())
         j = worst % n
         width = hi[j] - lo[j]
         if viol[worst] <= 1e-9 or width <= 1e-9:
@@ -595,13 +629,17 @@ def _branch_and_bound(grid, starts, node_budget, gap_tol):
         for child_box in ((lo, low_hi), (high_lo, hi)):
             _set_box(plan, *child_box)
             sol = lp_solve(model, basis)
+            if sol.status == "iteration_limit":
+                # a warm start can cycle on a degenerate vertex that a
+                # cold start does not reach
+                sol = lp_solve(model)
             nodes += 1
             if sol.status == "iteration_limit":
                 # unresolved, not empty: the parent's bound still holds
                 stalled.append(bound)
             elif sol.status == "optimal" and sol.value < inc_r - 1e-12:
                 heapq.heappush(heap, (float(sol.value), nodes, child_box, sol.x,
-                                      sol.basis))
+                                      sol.basis, np.abs(sol.dual[z_rows])))
     lower = min([inc_r] + [h[0] for h in heap] + stalled)
     gap = inc_r - lower
     info = SolveInfo(mode="branch_and_bound", nodes=nodes,

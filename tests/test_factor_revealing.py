@@ -28,7 +28,7 @@ import trademech.factor_revealing as fr
 from trademech.factor_revealing import (
     CertificateReport, GridCertificate, PriceGrid, REFERENCE_GRID_16,
     _best_alternate, _half_model, _half_step, _node_model, _one_sided_lp,
-    _pinned_rows, _set_box, _row_gains,
+    _pinned_rows, _root_box, _set_box, _row_gains,
     certificate_from_json, certificate_to_json,
     discretize_distribution, lowerop_solve, one_sided_certify, one_sided_value,
     opt_quadratic, upperop_search, upperop_to_instance, verify_certificate,
@@ -409,11 +409,14 @@ def test_lowerop_bounds_a_25_level_grid():
 
 @pytest.mark.parametrize("prices", [
     (0.0, 0.777, 0.813, 0.904, 1000.0), (0.0, 0.2, 0.5, 1.5, 4.0),
+    (0.0, 0.2, 0.8, 2.0),
 ])
 def test_lowerop_converges_to_a_feasible_certificate(prices):
     """Incumbents come from the seller half-step, never from a relaxation
     point, so a mass a rounding error below zero cannot reach the
-    certificate; these grids once crashed or stalled on that."""
+    certificate; the first two grids once crashed or stalled on that. On
+    the third a node LP's duals weigh no violated product, and a tree
+    that set such a node aside as exact stopped unconverged at 3 nodes."""
     cert = lowerop_solve(PriceGrid(prices))
     assert cert.info.converged
     assert cert.info.lower_bound <= cert.r
@@ -562,42 +565,69 @@ def test_half_step_edits_equal_a_fresh_half_step(free, role):
         assert got.value == want.value
 
 
+def _limit_child_solves(monkeypatch, grid, victim, limited):
+    """Solve grid's tree with the first `limited` solves after the
+    victim-th box write (the root's is the first) cut short at the
+    iteration limit. Returns the certificate, the number of boxes written
+    and the bases the victim's solves were given."""
+    real_set, real_solve = fr._set_box, fr.lp_solve
+    solves = []                     # per box written, its solves' bases
+
+    def set_box(*args):
+        solves.append([])
+        real_set(*args)
+
+    def cut(prob, basis=None):
+        # a child's solves come right after its box is written
+        if len(solves) == victim and len(solves[-1]) < 2:
+            solves[-1].append(basis)
+            if len(solves[-1]) <= limited:
+                return LPSolution(status="iteration_limit", iterations=20_000)
+        return real_solve(prob, basis)
+
+    monkeypatch.setattr(fr, "_set_box", set_box)
+    monkeypatch.setattr(fr, "lp_solve", cut)
+    cert = lowerop_solve(grid)
+    monkeypatch.undo()
+    return cert, len(solves), solves[victim - 1]
+
+
 def test_iteration_limited_child_keeps_its_parents_bound(monkeypatch):
-    """A child LP that stops at the iteration limit is set aside with its
-    parent's bound, not dropped: with either child of the root cut short,
-    the reported bound is the root's, below the converged bound."""
+    """A child LP that stops at the iteration limit, warm and then cold,
+    is set aside with its parent's bound, not dropped: with either child
+    of the root cut short, the reported bound is the root's, below the
+    converged bound."""
     grid = PriceGrid((0.0, 0.2, 0.5, 1.5, 4.0))
-    n = grid.n
     converged = lowerop_solve(grid)
     plan = _node_model(grid)
-    _set_box(plan, np.zeros(n), np.full(n, grid.cap))
+    _set_box(plan, *_root_box(grid))
     root = fr.lp_solve(plan[0]).value
     assert converged.info.converged
     assert root < converged.info.lower_bound - 1e-3
-    real_set, real_solve = fr._set_box, fr.lp_solve
     # the first box written is the root's, the next two its children's
     for victim in (2, 3):
-        children = []
-
-        def set_box(*args):
-            children.append(True)
-            real_set(*args)
-
-        def limited(prob, basis=None):
-            # a child's solve comes right after its box is written
-            if children and children[-1] is True:
-                children[-1] = False
-                if len(children) == victim:
-                    return LPSolution(status="iteration_limit", iterations=20_000)
-            return real_solve(prob, basis)
-
-        monkeypatch.setattr(fr, "_set_box", set_box)
-        monkeypatch.setattr(fr, "lp_solve", limited)
-        cert = lowerop_solve(grid)
-        monkeypatch.undo()
-        assert len(children) > victim
+        cert, children, _ = _limit_child_solves(monkeypatch, grid, victim, 2)
+        assert children > victim
         assert cert.info.lower_bound == root
         assert not cert.info.converged
+        assert verify_certificate(cert).feasible
+
+
+def test_cold_retry_resolves_a_child_whose_warm_solve_froze(monkeypatch):
+    """A child whose warm-started solve stops at the iteration limit is
+    solved again from the slack basis, and the tree converges to the
+    bound pair of an undisturbed tree."""
+    grid = PriceGrid((0.0, 0.2, 0.5, 1.5, 4.0))
+    converged = lowerop_solve(grid)
+    for victim in (2, 3):
+        cert, children, bases = _limit_child_solves(monkeypatch, grid, victim, 1)
+        assert children > victim
+        assert bases[0] is not None and bases[1] is None
+        assert cert.info.converged
+        assert cert.info.nodes == converged.info.nodes
+        # the cold solve may end on another optimal basis, a rounding apart
+        assert cert.info.lower_bound == pytest.approx(converged.info.lower_bound, abs=1e-12)
+        assert cert.r == pytest.approx(converged.r, abs=1e-12)
         assert verify_certificate(cert).feasible
 
 
@@ -650,19 +680,18 @@ def test_lp_solves_counts_every_lp(solve, monkeypatch):
 # move them.
 PINNED_BNB = [
     ((0.0, 0.3, 1000.0), 0.001, 0.3, 0.3, (-0.0, 1.0, 0.0),
-     (0.0, 0.9992997899369811, 0.0007002100630189056), (11, 27, 87)),
+     (0.0, 0.9992997899369811, 0.0007002100630189056), (3, 15, 49)),
     ((0.0, 0.35, 1000.0), 0.002, 0.35, 0.35, (-0.0, 1.0, 0.0),
-     (0.0, 0.9993497724203472, 0.0006502275796528785), (11, 27, 87)),
+     (0.0, 0.9993497724203472, 0.0006502275796528785), (3, 15, 47)),
     ((0.0, 0.4, 1000.0), 0.002, 0.4, 0.4, (-0.0, 1.0, 0.0),
-     (0.0, 0.9993997599039616, 0.0006002400960384153), (11, 27, 87)),
+     (0.0, 0.9993997599039616, 0.0006002400960384153), (3, 15, 57)),
     ((0.0, 0.45, 1000.0), 0.003, 0.45, 0.45, (-0.0, 1.0, 0.0),
-     (0.0, 0.9994497523885748, 0.0005502476114251413), (11, 27, 85)),
-    ((0.0, 0.6, 1000.0), 0.005, 0.39864018311086524, 0.39864018311086524,
-     (1.000601359816889, 0.0, 0.00039864018311086525),
-     (0.0, 1.0010000000000003, 0.0), (11, 36, 104)),
-    ((0.0, 0.4, 1.0, 1000.0), 0.02, 0.3999999999999999, 0.39999999999999986,
-     (-0.0, 0.9999999999999998, 0.0, 0.0), (0.0, 0.0, 1.0000000000000002, 0.0),
-     (13, 31, 154)),
+     (0.0, 0.9994497523885748, 0.0005502476114251413), (3, 15, 46)),
+    ((0.0, 0.6, 1000.0), 0.005, 0.39864018311086574, 0.39864018311086574,
+     (1.000601359816889, 0.0, 0.00039864018311086574),
+     (0.0, 1.001, 0.0), (3, 24, 53)),
+    ((0.0, 0.4, 1.0, 1000.0), 0.02, 0.4, 0.3999999999999999,
+     (-0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (5, 19, 87)),
 ]
 
 
@@ -672,6 +701,36 @@ def test_branch_and_bound_outputs_are_pinned(levels, gap, r, lower, s, b, counts
     info = cert.info
     assert (cert.r, info.lower_bound, cert.s, cert.b) == (r, lower, s, b)
     assert (info.nodes, info.lp_solves, info.lp_iterations) == counts
+
+
+@st.composite
+def instance_at_unit_optimum(draw):
+    """An instance of at most five atoms a side, values 0 or in
+    [0.01, 3000], scaled so that E[max(S, B)] = 1."""
+    def side():
+        value = st.one_of(st.just(0.0), st.floats(0.01, 3000.0))
+        vals = draw(st.lists(value, min_size=1, max_size=5, unique=True))
+        masses = draw(st.lists(st.floats(0.05, 1.0), min_size=len(vals),
+                               max_size=len(vals)))
+        return tuple((v, m / sum(masses)) for v, m in zip(vals, masses))
+    inst = Instance.from_values(side(), side())
+    opt = opt_welfare(inst)
+    assume(opt > 0.0)
+    return scale_instance(inst, 1.0 / opt)
+
+
+@given(instance_at_unit_optimum(),
+       st.sampled_from([REFERENCE_GRID_16] + [PriceGrid(c[0]) for c in PINNED_BNB]))
+@settings(max_examples=300, deadline=None)
+def test_root_box_holds_every_discretized_instance(inst, grid):
+    """Both sides of an instance at OPT = 1, discretized onto the
+    reference grid or a benchmark grid, lie in the tree's root box: the
+    box cuts off no instance the lower program has to cover."""
+    lo, hi = _root_box(grid)
+    for d in (inst.seller, inst.buyer):
+        x = discretize_distribution(d, grid)
+        assert np.all(x >= lo - 1e-12)
+        assert np.all(x <= hi + 1e-12)
 
 
 def test_upper_search_outputs_are_pinned():
@@ -1033,7 +1092,7 @@ def test_reference_grid_bound_after_100_nodes():
     assert verify_certificate(cert).feasible
     # frozen bit for bit, like PINNED_BNB
     assert (info.lower_bound, info.upper_bound, info.nodes, info.lp_solves,
-            info.lp_iterations) == (0.6134461004355675, 0.7435239586553786, 99, 163, 6446)
+            info.lp_iterations) == (0.667257381544281, 0.7305931953657414, 99, 163, 5278)
 
 
 def test_one_sided_certify_on_the_upper_witness_is_pinned():
